@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the in-memory hot paths: element
 // signature hashing, set-signature construction, bit-packed extraction,
-// slice combination, and B+-tree look-ups.  These are CPU-cost complements
-// to the page-access experiments (the paper's model is I/O-only).
+// slice combination, B+-tree look-ups, and the planner's fixed costs (the
+// live V estimate and the access-path advisor).  These are CPU-cost
+// complements to the page-access experiments (the paper's model is
+// I/O-only).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "nix/btree.h"
+#include "query/advisor.h"
 #include "sig/bitpack.h"
 #include "sig/signature.h"
+#include "util/hyperloglog.h"
 
 namespace sigsetdb {
 namespace {
@@ -112,6 +116,38 @@ void BM_BTreeInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeInsert);
+
+// The live V estimate every kAuto plan and snapshot publish reads.
+// Arguments: precision, distinct values added (13,000 = the paper's V).
+void BM_HyperLogLogEstimate(benchmark::State& state) {
+  HyperLogLog hll(static_cast<int>(state.range(0)));
+  for (int64_t v = 0; v < state.range(1); ++v) {
+    hll.Add(static_cast<uint64_t>(v));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hll.Estimate());
+  }
+}
+BENCHMARK(BM_HyperLogLogEstimate)->Args({12, 13000});
+
+// The access-path advisor as a kAuto plan calls it, at the Table-2
+// parameters (N = 32,000, V = 13,000, Dt = 10, F = 250, m = 2, smart
+// strategies allowed).  Arguments: QueryKind, Dq.
+void BM_AdviseAccessPaths(benchmark::State& state) {
+  const QueryKind kind = static_cast<QueryKind>(state.range(0));
+  const int64_t dq = state.range(1);
+  const DatabaseParams db;
+  const SignatureParams sig{250, 2};
+  const NixParams nix;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AdviseAccessPaths(db, sig, nix, /*dt=*/10, dq,
+                                               kind, /*allow_smart=*/true));
+  }
+}
+BENCHMARK(BM_AdviseAccessPaths)
+    ->Args({static_cast<int64_t>(QueryKind::kSuperset), 5})
+    ->Args({static_cast<int64_t>(QueryKind::kSubset), 40})
+    ->Args({static_cast<int64_t>(QueryKind::kEquals), 10});
 
 }  // namespace
 }  // namespace sigsetdb

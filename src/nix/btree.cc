@@ -70,6 +70,8 @@ size_t InternalMaxKeys(uint32_t max_fanout) {
   return std::min(by_bytes, by_fanout);
 }
 
+}  // namespace
+
 // ---- leaf node serialization ----
 
 // Parsed leaf record: either an inline posting list or a pointer to an
@@ -81,6 +83,8 @@ struct LeafRecord {
   uint32_t total = 0;                 // when overflow
   PageId first_page = kInvalidPage;   // when overflow
 };
+
+namespace {
 
 // Serialized bytes of one leaf record including its directory slot.
 size_t LeafRecordBytes(const LeafRecord& record) {
@@ -159,6 +163,36 @@ size_t ChildIndex(const ParsedInternal& node, uint64_t key) {
   return static_cast<size_t>(
       std::upper_bound(node.keys.begin(), node.keys.end(), key) -
       node.keys.begin());
+}
+
+// Whether records [0, cut) and [cut, end) each fit a leaf page.
+bool HalvesFit(const std::vector<LeafRecord>& records, size_t cut) {
+  size_t left = kHeaderBytes;
+  size_t right = kHeaderBytes;
+  for (size_t i = 0; i < records.size(); ++i) {
+    (i < cut ? left : right) += LeafRecordBytes(records[i]);
+  }
+  return left <= kPageSize && right <= kPageSize;
+}
+
+// Where a full leaf splits (`records` holds at least two, since any single
+// record fits a page), or 0 when no two-way cut fits.  The first choice is
+// the shortest prefix holding at least half of the records' bytes.  When
+// that fails, its left half is the one overflowing, and the only other cut
+// that can fit ends just before the record straddling the middle: a cut
+// further right grows the left half, one further left grows the right.
+size_t SplitCut(const std::vector<LeafRecord>& records) {
+  size_t total = LeafBytes(records) - kHeaderBytes;
+  size_t acc = 0;
+  size_t cut = 0;
+  while (cut + 1 < records.size() && acc < total / 2) {
+    acc += LeafRecordBytes(records[cut]);
+    ++cut;
+  }
+  if (cut == 0) cut = 1;
+  if (HalvesFit(records, cut)) return cut;
+  if (cut > 1 && HalvesFit(records, cut - 1)) return cut - 1;
+  return 0;
 }
 
 // lower_bound over parsed leaf records.
@@ -543,6 +577,59 @@ StatusOr<std::vector<Oid>> BTree::Lookup(uint64_t key) const {
   return out;
 }
 
+Status BTree::StoreLeaf(PageId page_id, Page* page,
+                        std::vector<LeafRecord>* records, PageId next_leaf,
+                        bool* split, uint64_t* promoted, PageId* new_child) {
+  *split = false;
+  size_t cut = 0;
+  while (true) {
+    if (WriteLeaf(*records, next_leaf, page)) {
+      return file_->Write(page_id, *page);
+    }
+    // Split by bytes so both halves fit even with skewed posting sizes.
+    SIGSET_FAILPOINT("btree.split");
+    cut = SplitCut(*records);
+    if (cut != 0) break;
+    // No two-way cut fits: a large inline posting list shares the leaf with
+    // neighbours on both sides (Apply can grow a list by hundreds of OIDs at
+    // once).  Move the largest inline list to an overflow chain, which
+    // leaves a 20-byte record behind, and try again.
+    auto largest = std::max_element(
+        records->begin(), records->end(),
+        [](const LeafRecord& a, const LeafRecord& b) {
+          return a.inline_postings.size() < b.inline_postings.size();
+        });
+    if (largest->inline_postings.size() < 2) {
+      // Spilling a one-OID list saves no bytes.
+      return Status::Internal("leaf split halves do not fit");
+    }
+    SIGSET_ASSIGN_OR_RETURN(PageId first,
+                            WriteOverflowChain(largest->inline_postings));
+    largest->overflow = true;
+    largest->total = static_cast<uint32_t>(largest->inline_postings.size());
+    largest->first_page = first;
+    largest->inline_postings.clear();
+    largest->inline_postings.shrink_to_fit();
+  }
+  std::vector<LeafRecord> left(records->begin(),
+                               records->begin() + static_cast<ptrdiff_t>(cut));
+  std::vector<LeafRecord> right(records->begin() + static_cast<ptrdiff_t>(cut),
+                                records->end());
+  SIGSET_ASSIGN_OR_RETURN(PageId right_id, file_->Allocate());
+  Page right_page;
+  if (!WriteLeaf(right, next_leaf, &right_page) ||
+      !WriteLeaf(left, right_id, page)) {
+    return Status::Internal("leaf split halves do not fit");
+  }
+  SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
+  SIGSET_RETURN_IF_ERROR(file_->Write(right_id, right_page));
+  ++leaf_pages_;
+  *split = true;
+  *promoted = right.front().key;
+  *new_child = right_id;
+  return Status::OK();
+}
+
 Status BTree::LeafInsert(PageId page_id, Page* page, uint64_t key, Oid oid,
                          bool* split, uint64_t* promoted, PageId* new_child) {
   std::vector<LeafRecord> records = ParseLeaf(*page);
@@ -578,38 +665,8 @@ Status BTree::LeafInsert(PageId page_id, Page* page, uint64_t key, Oid oid,
     record.inline_postings = {oid};
     records.insert(it, std::move(record));
   }
-  if (WriteLeaf(records, next_leaf, page)) {
-    SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
-    *split = false;
-    return Status::OK();
-  }
-  // Split by bytes so both halves fit even with skewed posting sizes.
-  SIGSET_FAILPOINT("btree.split");
-  size_t total = LeafBytes(records) - kHeaderBytes;
-  size_t acc = 0;
-  size_t cut = 0;
-  while (cut + 1 < records.size() && acc < total / 2) {
-    acc += LeafRecordBytes(records[cut]);
-    ++cut;
-  }
-  if (cut == 0) cut = 1;
-  std::vector<LeafRecord> left(records.begin(),
-                               records.begin() + static_cast<ptrdiff_t>(cut));
-  std::vector<LeafRecord> right(records.begin() + static_cast<ptrdiff_t>(cut),
-                                records.end());
-  SIGSET_ASSIGN_OR_RETURN(PageId right_id, file_->Allocate());
-  Page right_page;
-  if (!WriteLeaf(right, next_leaf, &right_page) ||
-      !WriteLeaf(left, right_id, page)) {
-    return Status::Internal("leaf split halves do not fit");
-  }
-  SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
-  SIGSET_RETURN_IF_ERROR(file_->Write(right_id, right_page));
-  ++leaf_pages_;
-  *split = true;
-  *promoted = right.front().key;
-  *new_child = right_id;
-  return Status::OK();
+  return StoreLeaf(page_id, page, &records, next_leaf, split, promoted,
+                   new_child);
 }
 
 Status BTree::InsertRec(PageId page_id, uint64_t key, Oid oid, bool* split,
@@ -755,38 +812,8 @@ Status BTree::LeafApply(PageId page_id, Page* page, uint64_t key,
     it->first_page = kInvalidPage;
     it->inline_postings = std::move(postings);
   }
-  if (WriteLeaf(records, next_leaf, page)) {
-    SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
-    *split = false;
-    return Status::OK();
-  }
-  // Same byte-balanced split as LeafInsert.
-  SIGSET_FAILPOINT("btree.split");
-  size_t total = LeafBytes(records) - kHeaderBytes;
-  size_t acc = 0;
-  size_t cut = 0;
-  while (cut + 1 < records.size() && acc < total / 2) {
-    acc += LeafRecordBytes(records[cut]);
-    ++cut;
-  }
-  if (cut == 0) cut = 1;
-  std::vector<LeafRecord> left(records.begin(),
-                               records.begin() + static_cast<ptrdiff_t>(cut));
-  std::vector<LeafRecord> right(records.begin() + static_cast<ptrdiff_t>(cut),
-                                records.end());
-  SIGSET_ASSIGN_OR_RETURN(PageId right_id, file_->Allocate());
-  Page right_page;
-  if (!WriteLeaf(right, next_leaf, &right_page) ||
-      !WriteLeaf(left, right_id, page)) {
-    return Status::Internal("leaf split halves do not fit");
-  }
-  SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
-  SIGSET_RETURN_IF_ERROR(file_->Write(right_id, right_page));
-  ++leaf_pages_;
-  *split = true;
-  *promoted = right.front().key;
-  *new_child = right_id;
-  return Status::OK();
+  return StoreLeaf(page_id, page, &records, next_leaf, split, promoted,
+                   new_child);
 }
 
 Status BTree::ApplyRec(PageId page_id, uint64_t key,

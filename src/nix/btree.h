@@ -21,7 +21,9 @@
 // entry then stores [key | marker | total | first-overflow-page] and the
 // OIDs live in chained overflow pages.  The paper's parameters (d = Dt·N/V
 // ≤ 246 postings) never overflow, so the reproduced page counts are
-// unaffected; the chains make the index robust under skewed workloads.
+// unaffected; the chains make the index robust under skewed workloads.  A
+// full leaf that no two-way cut can split (one large list between two
+// neighbours) also moves its largest inline list to a chain.
 //
 // BulkLoad packs leaves to capacity and builds packed upper levels, which is
 // what the paper's storage formulas assume (lp = ⌈V / ⌊P/Il⌋⌉).
@@ -43,6 +45,9 @@ namespace sigsetdb {
 
 // The paper's non-leaf fanout (Table 4: f = 218).
 inline constexpr uint32_t kPaperFanout = 218;
+
+// A leaf record as the tree's own code parses it (defined in btree.cc).
+struct LeafRecord;
 
 // One leaf entry in parsed form.
 struct BTreeEntry {
@@ -155,6 +160,14 @@ class BTree {
 
   Status LeafInsert(PageId page_id, Page* page, uint64_t key, Oid oid,
                     bool* split, uint64_t* promoted, PageId* new_child);
+
+  // Writes `records` (sorted by key) to leaf `page_id`, splitting the leaf
+  // when they overflow it; same promotion contract as InsertRec.  The split
+  // balances bytes; when no two-way cut fits, the largest inline posting
+  // list moves to an overflow chain first (see SplitCut in btree.cc).
+  Status StoreLeaf(PageId page_id, Page* page,
+                   std::vector<LeafRecord>* records, PageId next_leaf,
+                   bool* split, uint64_t* promoted, PageId* new_child);
 
   // Recursive grouped-change descent for Apply(); same promotion contract
   // as InsertRec.

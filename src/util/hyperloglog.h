@@ -7,10 +7,16 @@
 // al. 2007) with the usual small-range linear-counting correction;
 // 2^precision byte registers give ~1.04/√(2^precision) relative error
 // (~1.6 % at the default precision 12 = 4 KiB of state).
+//
+// The planner reads the estimate on every query, so the sketch also keeps a
+// histogram of register values (how many registers hold each rank).  Add
+// moves one count when a register rises, and Estimate sums over the ranks
+// instead of over the 2^precision registers.
 
 #ifndef SIGSET_UTIL_HYPERLOGLOG_H_
 #define SIGSET_UTIL_HYPERLOGLOG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -20,13 +26,19 @@ namespace sigsetdb {
 // Streaming distinct-count estimator over 64-bit values.
 class HyperLogLog {
  public:
+  // Histogram slots: rank 0 (empty register) up to 64 - 4 + 1, the largest
+  // rank a register can hold at the smallest precision.
+  static constexpr size_t kRankSlots = 64 - 4 + 2;
+
   // `precision` in [4, 16]: 2^precision single-byte registers.
   explicit HyperLogLog(int precision = 12);
 
   // Observes one value (idempotent per distinct value).
   void Add(uint64_t value);
 
-  // Current cardinality estimate.
+  // Current cardinality estimate, in O(kRankSlots).  Bit-identical to
+  // summing 2^-register over every register while all ranks are at most
+  // 53 - precision (see hyperloglog.cc).
   double Estimate() const;
 
   // Merges another sketch of the same precision (union of streams).
@@ -40,16 +52,24 @@ class HyperLogLog {
 
   // Raw register access for checkpoint serialization.
   const std::vector<uint8_t>& registers() const { return registers_; }
-  // Restores registers saved earlier; `data` must match num_registers().
-  bool LoadRegisters(const uint8_t* data, size_t len) {
-    if (len != registers_.size()) return false;
-    registers_.assign(data, data + len);
-    return true;
+  // rank_counts()[r] is the number of registers equal to r; the counts sum
+  // to num_registers().
+  const std::array<uint32_t, kRankSlots>& rank_counts() const {
+    return rank_counts_;
   }
+  // Restores registers saved earlier.  Returns false, leaving the sketch
+  // unchanged, unless `len` equals num_registers() and every value is a rank
+  // this precision can produce.
+  bool LoadRegisters(const uint8_t* data, size_t len);
 
  private:
+  // The largest rank Add stores: the hash bits left after the index, + 1.
+  uint8_t MaxRank() const { return static_cast<uint8_t>(64 - precision_ + 1); }
+  void RebuildRankCounts();
+
   int precision_;
   std::vector<uint8_t> registers_;
+  std::array<uint32_t, kRankSlots> rank_counts_{};
 };
 
 }  // namespace sigsetdb

@@ -222,6 +222,126 @@ TEST_F(BTreeTest, BulkLoadSpillsGiantPostings) {
   EXPECT_EQ(tree_->Lookup(9)->size(), 1u);
 }
 
+// A 509-OID inline list (4,084 bytes) arriving between two 20-byte
+// neighbours leaves no two-way leaf cut that fits a page; the split must
+// move the big list to an overflow chain instead of failing.
+TEST_F(BTreeTest, ApplyLargeListBetweenNeighboursSplitsCleanly) {
+  MakeTree();
+  ASSERT_TRUE(tree_->Insert(10, MakeOid(1)).ok());
+  ASSERT_TRUE(tree_->Insert(30, MakeOid(2)).ok());
+  std::vector<Oid> adds;
+  for (uint64_t i = 0; i < 509; ++i) adds.push_back(MakeOid(1000 + 509 - i));
+  Status status = tree_->Apply(20, adds, {});
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::vector<Oid> want = adds;
+  std::sort(want.begin(), want.end());
+  auto postings = tree_->Lookup(20);
+  ASSERT_TRUE(postings.ok());
+  EXPECT_EQ(*postings, want);
+  EXPECT_EQ(*tree_->Lookup(10), std::vector<Oid>{MakeOid(1)});
+  EXPECT_EQ(*tree_->Lookup(30), std::vector<Oid>{MakeOid(2)});
+  EXPECT_GT(tree_->overflow_pages(), 0u);
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+  // The spilled record keeps working on every path.
+  ASSERT_TRUE(tree_->Insert(20, MakeOid(5)).ok());
+  ASSERT_TRUE(tree_->Remove(20, MakeOid(1000 + 7)).ok());
+  ASSERT_TRUE(tree_->Apply(20, {MakeOid(6)}, {MakeOid(1000 + 8)}).ok());
+  want.erase(std::find(want.begin(), want.end(), MakeOid(1000 + 7)));
+  want.erase(std::find(want.begin(), want.end(), MakeOid(1000 + 8)));
+  want.push_back(MakeOid(5));
+  want.push_back(MakeOid(6));
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(*tree_->Lookup(20), want);
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
+// Two lists of ~2 KiB each plus a small neighbour: the byte-balanced cut
+// lands after the second list and overflows the left leaf, but the cut
+// before it fits, so the split takes that one and nothing spills.
+TEST_F(BTreeTest, ApplySplitsBeforeAListStraddlingTheMiddle) {
+  MakeTree();
+  auto oids = [](uint64_t first, uint64_t n) {
+    std::vector<Oid> out;
+    for (uint64_t i = 0; i < n; ++i) out.push_back(MakeOid(first + i));
+    return out;
+  };
+  ASSERT_TRUE(tree_->Insert(30, MakeOid(1)).ok());
+  ASSERT_TRUE(tree_->Apply(10, oids(1000, 250), {}).ok());
+  Status status = tree_->Apply(20, oids(5000, 262), {});
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(tree_->leaf_pages(), 2u);
+  EXPECT_EQ(tree_->overflow_pages(), 0u);
+  EXPECT_EQ(*tree_->Lookup(10), oids(1000, 250));
+  EXPECT_EQ(*tree_->Lookup(20), oids(5000, 262));
+  EXPECT_EQ(*tree_->Lookup(30), std::vector<Oid>{MakeOid(1)});
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
+// The same three keys grown one Insert at a time: the list passes through
+// every size up to 509 between its neighbours, and each leaf split the
+// growth forces goes through the shared split path.
+TEST_F(BTreeTest, InsertLargeListBetweenNeighboursSplitsCleanly) {
+  MakeTree();
+  ASSERT_TRUE(tree_->Insert(10, MakeOid(1)).ok());
+  ASSERT_TRUE(tree_->Insert(30, MakeOid(2)).ok());
+  std::vector<Oid> want;
+  for (uint64_t i = 0; i < 509; ++i) {
+    Oid oid = MakeOid(1000 + 509 - i);
+    Status status = tree_->Insert(20, oid);
+    ASSERT_TRUE(status.ok()) << "i=" << i << ": " << status.ToString();
+    want.push_back(oid);
+  }
+  std::sort(want.begin(), want.end());
+  auto postings = tree_->Lookup(20);
+  ASSERT_TRUE(postings.ok());
+  EXPECT_EQ(*postings, want);
+  EXPECT_EQ(*tree_->Lookup(10), std::vector<Oid>{MakeOid(1)});
+  EXPECT_EQ(*tree_->Lookup(30), std::vector<Oid>{MakeOid(2)});
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+  // A new neighbour on the big list's leaf forces one more split.
+  for (uint64_t k : {15, 25}) {
+    ASSERT_TRUE(tree_->Insert(k, MakeOid(k)).ok()) << "key " << k;
+  }
+  EXPECT_EQ(*tree_->Lookup(20), want);
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
+// Random Apply groups over 24 keys, each moving one key's list to a random
+// length in [1, 509]: inline lists of every size sit next to each other, so
+// leaves split at the balanced cut, at the cut before a list straddling the
+// middle, and after spills.  Every posting and the structure must survive.
+TEST_F(BTreeTest, RandomApplyGroupsKeepEveryPosting) {
+  MakeTree(/*fanout=*/8);
+  std::map<uint64_t, std::vector<Oid>> want;
+  Rng rng(17);
+  uint64_t next_oid = 1;
+  for (int round = 0; round < 400; ++round) {
+    const uint64_t key = rng.NextBelow(24) * 10;
+    std::vector<Oid>& have = want[key];
+    const size_t target = rng.NextBelow(509) + 1;
+    std::vector<Oid> adds;
+    std::vector<Oid> removes;
+    while (have.size() > target) {
+      const size_t at = rng.NextBelow(have.size());
+      removes.push_back(have[at]);
+      have.erase(have.begin() + static_cast<ptrdiff_t>(at));
+    }
+    while (have.size() + adds.size() < target) {
+      adds.push_back(MakeOid(next_oid++));
+    }
+    have.insert(have.end(), adds.begin(), adds.end());
+    Status status = tree_->Apply(key, adds, removes);
+    ASSERT_TRUE(status.ok()) << "round " << round << ": " << status.ToString();
+  }
+  for (auto& [key, oids] : want) {
+    std::sort(oids.begin(), oids.end());
+    auto postings = tree_->Lookup(key);
+    ASSERT_TRUE(postings.ok());
+    EXPECT_EQ(*postings, oids) << "key " << key;
+  }
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
 TEST_F(BTreeTest, BulkLoadSmall) {
   MakeTree();
   std::vector<BTreeEntry> entries;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace sigsetdb {
 namespace {
@@ -245,6 +246,103 @@ TEST_F(DatabaseTest, AutoDomainEstimatePerAttribute) {
   EXPECT_NEAR(static_cast<double>((*db)->DomainEstimate(1)), 40.0, 6.0);
   auto result = (*db)->Query({{"hobbies", QueryKind::kSuperset, {1, 2}}});
   ASSERT_TRUE(result.ok());
+}
+
+// A Zipf(0.99) attribute (1-8 of 500 values) loaded through ApplyBatch
+// with NIX on: each batch grows the most popular values' posting lists by
+// hundreds of OIDs at once.  With this seed the second batch leaves three
+// lists of ~260, ~260 and ~100 OIDs on one leaf, where the byte-balanced
+// cut overflows its left half (the split used to fail there).  hobbies is
+// NIX-only so every hobbies answer below comes from the B-tree.
+TEST_F(DatabaseTest, ZipfAttributeWithNixLoadsThroughApplyBatch) {
+  Database::Options options = StudentOptions();
+  options.attributes[1].maintain_bssf = false;
+  options.attributes[1].domain_estimate = 500;
+  options.capacity = 8192;
+  auto db = Database::Create(&storage_, "Zipf", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  SetGenerator hobbies({6000, 500, CardinalitySpec{1, 8}, SkewKind::kZipf,
+                        0.99, /*seed=*/60});
+  Rng rng(43);
+  oids_.clear();
+  values_.clear();
+  for (int b = 0; b < 6; ++b) {
+    MultiWriteBatch batch;
+    std::vector<std::vector<ElementSet>> pending;
+    for (int i = 0; i < 1000; ++i) {
+      pending.push_back({rng.SampleWithoutReplacement(300, 6),
+                         hobbies.NextSet()});
+      batch.Insert(pending.back());
+    }
+    auto oids = (*db)->ApplyBatch(batch);
+    ASSERT_TRUE(oids.ok()) << "batch " << b << ": " << oids.status().ToString();
+    oids_.insert(oids_.end(), oids->begin(), oids->end());
+    values_.insert(values_.end(), pending.begin(), pending.end());
+  }
+  db_ = std::move(*db);
+  for (QueryKind kind :
+       {QueryKind::kSuperset, QueryKind::kProperSuperset, QueryKind::kSubset,
+        QueryKind::kProperSubset, QueryKind::kEquals, QueryKind::kOverlaps}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const bool small = kind == QueryKind::kSuperset ||
+                       kind == QueryKind::kProperSuperset ||
+                       kind == QueryKind::kOverlaps;
+    const ElementSet popular =
+        small ? ElementSet{0} : ElementSet{0, 1, 2, 3, 4, 5, 6, 7};
+    ExpectQueryMatches({{"hobbies", kind, popular}});
+    ExpectQueryMatches({{"hobbies", kind, hobbies.QuerySet(small ? 2 : 20)}});
+    ExpectQueryMatches({{"hobbies", kind, values_[17][1]}});
+  }
+  // A conjunction resolved across both attributes.
+  ExpectQueryMatches({{"hobbies", QueryKind::kSuperset, {0, 1}},
+                      {"courses", QueryKind::kOverlaps, {1, 2, 3, 4, 5}}});
+}
+
+// Open loads each attribute's checkpointed sketch registers; WAL recovery
+// then re-adds the replayed objects on top of them.  Either way every
+// attribute's estimate must come back exactly as it was.
+TEST_F(DatabaseTest, DomainEstimateSurvivesReopenAndWalRecovery) {
+  Database::Options options = StudentOptions();
+  options.attributes[0].domain_estimate = 0;  // auto
+  options.attributes[1].domain_estimate = 0;
+  options.enable_wal = true;
+  auto estimates = [](const Database& db) {
+    return std::vector<int64_t>{db.DomainEstimate(0), db.DomainEstimate(1)};
+  };
+  Rng rng(44);
+  std::vector<int64_t> checkpointed;
+  {
+    auto db = Database::Create(&storage_, "Sketched", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE((*db)
+                      ->Insert({rng.SampleWithoutReplacement(300, 6),
+                                rng.SampleWithoutReplacement(40, 3)})
+                      .ok());
+    }
+    checkpointed = estimates(**db);
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  std::vector<int64_t> before_stop;
+  {
+    auto db = Database::Open(&storage_, "Sketched", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(estimates(**db), checkpointed);
+    // Wider domains move both estimates; these objects reach the files only
+    // through the WAL (no Checkpoint before the database goes away).
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE((*db)
+                      ->Insert({rng.SampleWithoutReplacement(900, 6),
+                                rng.SampleWithoutReplacement(120, 3)})
+                      .ok());
+    }
+    before_stop = estimates(**db);
+    EXPECT_GT(before_stop[0], checkpointed[0]);
+    EXPECT_GT(before_stop[1], checkpointed[1]);
+  }
+  auto db = Database::Open(&storage_, "Sketched", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(estimates(**db), before_stop);
 }
 
 TEST_F(DatabaseTest, AttributeIndexLookup) {

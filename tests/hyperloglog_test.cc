@@ -1,6 +1,9 @@
 #include "util/hyperloglog.h"
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,46 @@
 
 namespace sigsetdb {
 namespace {
+
+// The estimate as the sketch computed it before it kept a rank histogram:
+// one 2^-register term per register, summed in register order.  Estimate()
+// must equal it bit for bit.
+double ScanEstimate(const HyperLogLog& hll) {
+  const std::vector<uint8_t>& registers = hll.registers();
+  const double m = static_cast<double>(registers.size());
+  double inverse_sum = 0.0;
+  size_t zeros = 0;
+  for (uint8_t r : registers) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    if (r == 0) ++zeros;
+  }
+  double alpha = 0.7213 / (1.0 + 1.079 / m);
+  if (registers.size() == 16) alpha = 0.673;
+  if (registers.size() == 32) alpha = 0.697;
+  if (registers.size() == 64) alpha = 0.709;
+  double raw = alpha * m * m / inverse_sum;
+  if (raw <= 2.5 * m && zeros > 0) {
+    return m * std::log(m / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+// Estimate() against the scan oracle (memcmp of the doubles, so -0.0 vs 0.0
+// or a last-bit difference fails), and the histogram against a recount of
+// the registers.
+void ExpectMatchesScan(const HyperLogLog& hll, const std::string& where) {
+  SCOPED_TRACE(where);
+  const double fast = hll.Estimate();
+  const double scan = ScanEstimate(hll);
+  EXPECT_EQ(std::memcmp(&fast, &scan, sizeof(double)), 0)
+      << "estimate " << fast << " vs scan " << scan;
+  const auto& counts = hll.rank_counts();
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), uint64_t{0}),
+            hll.num_registers());
+  std::vector<uint32_t> recount(HyperLogLog::kRankSlots, 0);
+  for (uint8_t r : hll.registers()) ++recount[r];
+  EXPECT_TRUE(std::equal(counts.begin(), counts.end(), recount.begin()));
+}
 
 TEST(HyperLogLogTest, EmptyEstimatesZero) {
   HyperLogLog hll(12);
@@ -101,6 +144,87 @@ TEST(HyperLogLogTest, PrecisionTradesStateForAccuracy) {
   EXPECT_LT(coarse_err, 0.6);
   EXPECT_EQ(coarse.num_registers(), 64u);
   EXPECT_EQ(fine.num_registers(), 16384u);
+}
+
+// Bitwise equality with the full-register scan after random Add streams,
+// Merge, LoadRegisters and Clear, at every precision.  Stream lengths grow
+// geometrically to 4x the register count, so both the linear-counting and
+// the raw regime are checked.  Loaded registers stay within 53 - precision,
+// the range where the rank-grouped sum is exact.
+class HllEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(HllEquivalenceTest, EstimateEqualsRegisterScanBitwise) {
+  const int p = GetParam();
+  const size_t m = size_t{1} << p;
+  const uint64_t exact_max_rank = static_cast<uint64_t>(53 - p);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 1000 + static_cast<uint64_t>(p));
+    HyperLogLog hll(p);
+    ExpectMatchesScan(hll, "empty");
+    size_t added = 0;
+    for (size_t chunk = 1; added < 4 * m; chunk *= 2) {
+      for (size_t i = 0; i < chunk; ++i) hll.Add(rng.Next());
+      added += chunk;
+      ExpectMatchesScan(hll, "after " + std::to_string(added) + " adds");
+    }
+    // Re-adding a value seen before moves nothing.
+    HyperLogLog again = hll;
+    Rng replay(seed * 1000 + static_cast<uint64_t>(p));
+    for (size_t i = 0; i < 64; ++i) again.Add(replay.Next());
+    EXPECT_EQ(again.registers(), hll.registers());
+    EXPECT_EQ(again.rank_counts(), hll.rank_counts());
+
+    HyperLogLog other(p);
+    const size_t other_adds = rng.NextBelow(3 * m) + 1;
+    for (size_t i = 0; i < other_adds; ++i) other.Add(rng.Next());
+    hll.Merge(other);
+    ExpectMatchesScan(hll, "after Merge");
+
+    std::vector<uint8_t> saved(m);
+    for (uint8_t& r : saved) {
+      r = static_cast<uint8_t>(rng.NextBelow(exact_max_rank + 1));
+    }
+    HyperLogLog loaded(p);
+    ASSERT_TRUE(loaded.LoadRegisters(saved.data(), saved.size()));
+    ExpectMatchesScan(loaded, "after LoadRegisters");
+    // Adds on top of loaded registers keep the histogram in step.
+    for (size_t i = 0; i < m; ++i) loaded.Add(rng.Next());
+    ExpectMatchesScan(loaded, "after LoadRegisters + adds");
+    // A sparse load: most registers empty, so linear counting applies.
+    std::vector<uint8_t> sparse(m, 0);
+    for (size_t i = 0; i < m / 8; ++i) {
+      sparse[rng.NextBelow(m)] =
+          static_cast<uint8_t>(1 + rng.NextBelow(exact_max_rank));
+    }
+    ASSERT_TRUE(loaded.LoadRegisters(sparse.data(), sparse.size()));
+    ExpectMatchesScan(loaded, "after sparse LoadRegisters");
+
+    hll.Clear();
+    ExpectMatchesScan(hll, "after Clear");
+    EXPECT_EQ(hll.rank_counts()[0], m);
+    for (size_t i = 0; i < m / 2; ++i) hll.Add(rng.Next());
+    ExpectMatchesScan(hll, "after Clear + adds");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Precisions, HllEquivalenceTest,
+                         ::testing::Range(4, 17));
+
+TEST(HyperLogLogTest, LoadRegistersRejectsUnreachableRanks) {
+  HyperLogLog hll(12);
+  for (uint64_t v = 0; v < 3000; ++v) hll.Add(v);
+  const std::vector<uint8_t> before = hll.registers();
+  const double estimate = hll.Estimate();
+  // 64 - 12 + 1 = 53 is the largest rank at precision 12.
+  std::vector<uint8_t> corrupt(hll.num_registers(), 3);
+  corrupt[17] = 54;
+  EXPECT_FALSE(hll.LoadRegisters(corrupt.data(), corrupt.size()));
+  EXPECT_EQ(hll.registers(), before);
+  EXPECT_DOUBLE_EQ(hll.Estimate(), estimate);
+  corrupt[17] = 53;
+  EXPECT_TRUE(hll.LoadRegisters(corrupt.data(), corrupt.size()));
+  EXPECT_EQ(hll.rank_counts()[53], 1u);
+  EXPECT_EQ(hll.rank_counts()[3], hll.num_registers() - 1);
 }
 
 }  // namespace

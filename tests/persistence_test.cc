@@ -160,6 +160,45 @@ TEST_F(PersistenceTest, DomainSketchSurvivesReopen) {
   EXPECT_EQ((*index)->DomainEstimate(), before);
 }
 
+// Open loads the checkpointed sketch registers; WAL recovery then re-adds
+// the replayed sets on top of them.  Either way the estimate must come back
+// exactly as it was before the index went away.
+TEST_F(PersistenceTest, DomainSketchSurvivesWalRecovery) {
+  SetIndex::Options options = Options();
+  options.domain_estimate = 0;  // auto: sketched
+  options.enable_wal = true;
+  Rng rng(32);
+  int64_t checkpointed = 0;
+  {
+    StorageManager storage(dir_);
+    auto index = SetIndex::Create(&storage, "attr", options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE((*index)->Insert(rng.SampleWithoutReplacement(150, 5)).ok());
+    }
+    checkpointed = (*index)->DomainEstimate();
+    ASSERT_TRUE((*index)->Checkpoint().ok());
+  }
+  int64_t before_stop = 0;
+  {
+    StorageManager storage(dir_);
+    auto index = SetIndex::Open(&storage, "attr", options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ((*index)->DomainEstimate(), checkpointed);
+    // Values past the checkpointed domain move the estimate; they reach
+    // disk only through the WAL (no Checkpoint before the index goes away).
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE((*index)->Insert(rng.SampleWithoutReplacement(600, 5)).ok());
+    }
+    before_stop = (*index)->DomainEstimate();
+    EXPECT_GT(before_stop, checkpointed);
+  }
+  StorageManager storage(dir_);
+  auto index = SetIndex::Open(&storage, "attr", options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->DomainEstimate(), before_stop);
+}
+
 TEST_F(PersistenceTest, OpenRejectsMismatchedOptions) {
   {
     StorageManager storage(dir_);
