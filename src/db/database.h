@@ -18,6 +18,7 @@
 #define SIGSET_DB_DATABASE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,21 @@ namespace sigsetdb {
 
 class DatabaseSnapshot;
 class EpochManager;
+class EpochReadView;
+class IndexedAttribute;
 class VersionedPageFile;
+struct AttributeSettings;
+
+// How a selection picks its access path.
+enum class PlanMode {
+  // Cost-based: the advisor ranks all maintained facilities (with smart
+  // strategies) using live statistics and runs the cheapest.
+  kAuto,
+  // Force a specific facility with its plain strategy.
+  kForceSsf,
+  kForceBssf,
+  kForceNix,
+};
 
 // One conjunct: <attribute> <operator> <query set>.
 struct SetPredicate {
@@ -137,12 +152,16 @@ class Database {
   // Creates the class storage under the file prefix `class_name`.
   static StatusOr<std::unique_ptr<Database>> Create(StorageManager* storage,
                                                     const std::string& name,
-                                                    const Options& options);
+                                                    const Options& options) {
+    return Start(storage, name, options, nullptr, /*open=*/false);
+  }
 
   // Reopens a checkpointed database (same storage/directory and options).
   static StatusOr<std::unique_ptr<Database>> Open(StorageManager* storage,
                                                   const std::string& name,
-                                                  const Options& options);
+                                                  const Options& options) {
+    return Start(storage, name, options, nullptr, /*open=*/true);
+  }
 
   // Persists facility metadata; see SetIndex::Checkpoint for semantics.
   Status Checkpoint();
@@ -242,112 +261,117 @@ class Database {
   ~Database();
 
  private:
-  // Everything maintained for one attribute.
-  struct AttributeState {
-    std::unique_ptr<SequentialSignatureFile> ssf;
-    std::unique_ptr<BitSlicedSignatureFile> bssf;
-    std::unique_ptr<NestedIndex> nix;
-    uint64_t total_elements = 0;  // for the live Dt estimate
-    HyperLogLog domain_sketch{12};  // for the live V estimate
-    // CoW wrappers over this attribute's files (null unless
-    // enable_snapshots; owned by versioned_all_).
-    VersionedPageFile* v_ssf_sig = nullptr;
-    VersionedPageFile* v_ssf_oid = nullptr;
-    VersionedPageFile* v_bssf_slices = nullptr;
-    VersionedPageFile* v_bssf_oid = nullptr;
-    VersionedPageFile* v_nix = nullptr;
+  friend class DatabaseSnapshot;
+  friend class SetIndex;
+  friend class Snapshot;
+
+  // What one read runs over: an object store, its attributes, the counters
+  // the read charges and how it executes.  Live reads use the engine's
+  // files and charge the storage manager; pinned reads use one epoch's
+  // adapters (serial, pure-model planning, their own counters).
+  struct ReadView {
+    const MultiObjectStore* store = nullptr;
+    std::span<const std::unique_ptr<IndexedAttribute>> attrs;
+    StorageManager* storage = nullptr;       // live
+    const EpochReadView* objects = nullptr;  // pinned
+    const ParallelExecutionContext* ctx = nullptr;
+    const MetricsRegistry* feedback = nullptr;
+
+    IoStats TotalStats() const;
+    // Index of `attribute`, or kNotFound.
+    StatusOr<size_t> Find(const std::string& attribute) const;
   };
+
+  // A planned conjunction: normalized predicates, their attribute indexes
+  // and the driver predicate's access path.  RunSelection fills `result`
+  // and `io` (the read's counter delta).
+  struct Selection {
+    std::vector<SetPredicate> preds;
+    std::vector<size_t> attrs;
+    size_t driver = 0;
+    AccessPathChoice plan;
+    DatabaseQueryResult result;
+    IoStats io;
+  };
+
+  // The read path, shared by live and pinned callers, which keep their own
+  // bookkeeping.  The cheapest predicate drives candidate selection; every
+  // candidate is fetched once and checked against the whole conjunction.
+  static StatusOr<Selection> PlanSelection(const ReadView& view,
+                                          std::vector<SetPredicate> predicates,
+                                          PlanMode mode);
+  static Status RunSelection(const ReadView& view, Selection* sel,
+                             QueryTrace* trace);
+  static Status Resolve(const ReadView& view, const Selection& sel,
+                        const CandidateResult& candidates, QueryTrace* trace,
+                        DatabaseQueryResult* out);
+  // R ⋈⊆ S between attribute `r_attr` of `r` and `s_attr` of `s`.
+  static StatusOr<DatabaseJoinResult> RunJoin(const ReadView& r,
+                                              size_t r_attr,
+                                              const ReadView& s,
+                                              size_t s_attr,
+                                              const JoinSpec& spec,
+                                              QueryTrace* trace, IoStats* io);
 
   Database(StorageManager* storage, Options options);
 
-  // Untimed bodies of the public entry points (see SetIndex: the public
-  // methods are telemetry shims that forward directly when telemetry is
-  // off).
+  // Create (`open` false) or Open.  SetIndex passes `settings` for its one
+  // unnamed attribute; public callers pass null and must name attributes.
+  static StatusOr<std::unique_ptr<Database>> Start(
+      StorageManager* storage, const std::string& name, const Options& options,
+      const AttributeSettings* settings, bool open);
+
+  ReadView LiveView() const;
+  // Live reads: the shared read path plus query.* / join.* metrics, flight
+  // events, model predictions and the drift watchdog.
+  StatusOr<Selection> Select(std::vector<SetPredicate> predicates,
+                             PlanMode mode, QueryTrace* trace);
+  StatusOr<DatabaseJoinResult> Join(size_t r_attr, Database* s_db,
+                                    size_t s_attr, const JoinSpec& spec,
+                                    QueryTrace* trace);
+
+  // Untimed bodies of the public mutators; Timed wraps them in the
+  // telemetry shim (a direct call when telemetry is off).
+  template <typename Fn>
+  auto Timed(FlightOp op, const char* metric, Fn&& body);
   Status CheckpointImpl();
   StatusOr<Oid> InsertImpl(std::vector<ElementSet> attr_values);
   Status DeleteImpl(Oid oid);
-  StatusOr<std::vector<Oid>> ApplyBatchImpl(const MultiWriteBatch& batch);
+  StatusOr<std::vector<Oid>> ApplyBatchImpl(
+      std::vector<std::vector<ElementSet>> inserts,
+      const std::vector<Oid>& deletes);
   Status CompactImpl();
 
   // Entry-point telemetry: latency histogram sample + flight event; fatal
   // statuses trigger NoteFatal (one-shot postmortem capture).
+  void RecordEvent(FlightOp op, const Status& status, const IoStats& delta,
+                   const std::string& detail, uint64_t fingerprint = 0);
   void RecordOpTelemetry(FlightOp op, const char* metric,
                          const TraceTimer& timer, const IoStats& before,
-                         const Status& status, uint64_t fingerprint = 0,
-                         const char* detail = nullptr);
+                         const Status& status, uint64_t fingerprint = 0);
   void NoteFatal(const Status& cause);
-
-  // Attaches the model's per-stage predictions for the driver predicate to
-  // a finished trace (shared by Explain and telemetry-internal traces).
-  void AttachPredictions(QueryTrace* trace, const AccessPathChoice& chosen,
-                         size_t attr, const SetPredicate& pred) const;
 
   // nullptr when num_threads <= 1.
   const ParallelExecutionContext* execution_context() const {
     return pool_ != nullptr ? &ctx_ : nullptr;
   }
 
-  static Status ValidateOptions(const Options& options);
-
-  // Builds the per-attribute facilities; `recovered_sigs` non-null on Open.
-  Status InitFacilities(const std::string& name,
-                        const Manifest::Values* recovered);
-
-  // The cost-model view of one attribute's current state.
-  struct ModelView {
-    DatabaseParams db;
-    SignatureParams sig;
-    NixParams nix;
-    int64_t dt;
-  };
-  ModelView ModelFor(size_t attr) const;
-
-  // Prices the best access path for one predicate.
-  StatusOr<AccessPathChoice> PlanPredicate(size_t attr,
-                                           const SetPredicate& predicate,
-                                           double* cost) const;
-
-  // Shared body of Query/Explain; `trace`/`chosen_*` are optional outputs
-  // describing the executed driver plan.
-  StatusOr<DatabaseQueryResult> QueryInternal(
-      const std::vector<SetPredicate>& predicates, QueryTrace* trace,
-      AccessPathChoice* chosen_plan, size_t* chosen_attr,
-      SetPredicate* chosen_pred);
-
-  // Runs the chosen plan, returning candidate OIDs (no resolution).
-  StatusOr<std::vector<Oid>> DriverCandidates(size_t attr,
-                                              const AccessPathChoice& plan,
-                                              QueryKind candidate_kind,
-                                              const ElementSet& query);
-
-  // Shared body of ExecuteSetJoin/ExplainSetJoin (attribute indexes already
-  // resolved).
-  StatusOr<DatabaseJoinResult> JoinInternal(size_t r_attr, size_t s_attr,
-                                            const JoinSpec& spec,
-                                            QueryTrace* trace);
-
-  // WAL plumbing — same contract as SetIndex: Apply* run the mutation after
-  // its record is durable; a failure there calls AbortAndPoison, which logs
-  // an Abort record and fails every later mutation/query until reopened.
-  Status ApplyInsert(const std::vector<ElementSet>& normalized,
-                     Oid expected_oid);
-  Status ApplyDelete(Oid oid, const MultiSetObject& victim);
-  Status ApplyBatchBody(const MultiWriteBatch& batch,
-                        const std::vector<MultiSetObject>& victims,
-                        const std::vector<std::vector<ElementSet>>& normalized,
-                        const std::vector<Oid>& predicted,
-                        std::vector<Oid>* out_oids);
+  // With a WAL, a mutation applies after its record is durable; a failure
+  // there calls AbortAndPoison, which logs an Abort record and fails every
+  // later mutation/query until reopened.
   Status AbortAndPoison(uint64_t lsn, const Status& cause);
   // Recovery: redo `records` against the object store, then rebuild every
   // attribute's facilities and counters from the recovered store.
   Status ReplayLog(const std::vector<LogRecord>& records);
   Status RebuildFacilitiesFromStore();
 
-  // Snapshot plumbing (mirrors SetIndex): open-and-maybe-wrap, flush the
-  // current wrappers at Checkpoint, publish after successful mutations.
+  // Opens `file_name` and, with snapshots on, wraps it in a CoW
+  // VersionedPageFile (owned by versioned_all_, reclaimer registered);
+  // `*slot` receives the wrapper or nullptr.
   StatusOr<PageFile*> OpenVersioned(const std::string& file_name,
                                     VersionedPageFile** slot);
-  Status FlushCurrentVersions();
+  // Publishes the committed state as a new epoch (no-op without
+  // snapshots).  Called after every successful mutation.
   void PublishSnapshot();
 
   StorageManager* storage_;
@@ -358,8 +382,10 @@ class Database {
   ParallelExecutionContext ctx_;
   PageFile* manifest_file_ = nullptr;
   PageFile* sketch_file_ = nullptr;
-  // Snapshot machinery (null/empty unless enable_snapshots); the wrapper
-  // pool owns all CoW wrappers and must outlive the facilities below.
+  // Snapshot machinery (null/empty unless enable_snapshots).  The wrapper
+  // pool owns every CoW wrapper ever created — including superseded
+  // generations, which pinned snapshots may still read — so it must
+  // outlive the facilities below (declared first = destroyed last).
   std::unique_ptr<EpochManager> epochs_;
   std::vector<std::unique_ptr<VersionedPageFile>> versioned_all_;
   VersionedPageFile* v_objects_ = nullptr;
@@ -367,7 +393,7 @@ class Database {
   std::unique_ptr<WriteAheadLog> wal_;
   // Set by AbortAndPoison; every mutation and query returns it once set.
   Status poison_ = Status::OK();
-  std::vector<AttributeState> attrs_;
+  std::vector<std::unique_ptr<IndexedAttribute>> attrs_;
   std::vector<ElementDictionary> dictionaries_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;

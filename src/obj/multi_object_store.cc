@@ -8,32 +8,33 @@ namespace sigsetdb {
 
 namespace {
 
-// Record layout: [num_attrs:u16] then per attribute [count:u32][elems:u64*].
+// Record layout: per attribute [count:u32][elems:u64*].  The attribute
+// count is fixed per store, so a one-attribute record is byte-identical to
+// ObjectStore's.
 std::vector<uint8_t> Serialize(const std::vector<ElementSet>& attrs) {
-  size_t bytes = 2;
+  size_t bytes = 0;
   for (const ElementSet& set : attrs) bytes += 4 + set.size() * 8;
   std::vector<uint8_t> buf(bytes);
-  uint16_t n = static_cast<uint16_t>(attrs.size());
-  std::memcpy(buf.data(), &n, 2);
-  size_t off = 2;
+  size_t off = 0;
   for (const ElementSet& set : attrs) {
     uint32_t count = static_cast<uint32_t>(set.size());
     std::memcpy(buf.data() + off, &count, 4);
-    std::memcpy(buf.data() + off + 4, set.data(), set.size() * 8);
+    // An empty set's data() may be null, and memcpy from null is undefined
+    // even for zero bytes.
+    if (!set.empty()) {
+      std::memcpy(buf.data() + off + 4, set.data(), set.size() * 8);
+    }
     off += 4 + set.size() * 8;
   }
   return buf;
 }
 
-Status Deserialize(const uint8_t* data, uint16_t len,
+// Decodes into `*out`, reusing the storage of the sets already there.
+Status Deserialize(const uint8_t* data, uint16_t len, uint16_t num_attrs,
                    std::vector<ElementSet>* out) {
-  if (len < 2) return Status::Corruption("object record too short");
-  uint16_t n;
-  std::memcpy(&n, data, 2);
-  out->clear();
-  out->reserve(n);
-  size_t off = 2;
-  for (uint16_t i = 0; i < n; ++i) {
+  out->resize(num_attrs);
+  size_t off = 0;
+  for (ElementSet& set : *out) {
     if (off + 4 > len) return Status::Corruption("truncated attribute count");
     uint32_t count;
     std::memcpy(&count, data + off, 4);
@@ -41,10 +42,11 @@ Status Deserialize(const uint8_t* data, uint16_t len,
     if (off + static_cast<size_t>(count) * 8 > len) {
       return Status::Corruption("truncated attribute elements");
     }
-    ElementSet set(count);
-    std::memcpy(set.data(), data + off, static_cast<size_t>(count) * 8);
+    set.resize(count);
+    if (count > 0) {
+      std::memcpy(set.data(), data + off, static_cast<size_t>(count) * 8);
+    }
     off += static_cast<size_t>(count) * 8;
-    out->push_back(std::move(set));
   }
   if (off != len) return Status::Corruption("trailing bytes in record");
   return Status::OK();
@@ -219,6 +221,7 @@ Status MultiObjectStore::ForEachLive(
     const std::function<Status(Oid, const std::vector<ElementSet>&)>& fn)
     const {
   const PageId num_pages = file_->num_pages();
+  std::vector<ElementSet> attrs;  // reused across records
   for (PageId p = 0; p < num_pages; ++p) {
     Page page;
     SIGSET_RETURN_IF_ERROR(file_->Read(p, &page));
@@ -228,8 +231,7 @@ Status MultiObjectStore::ForEachLive(
       uint16_t len = 0;
       const uint8_t* rec = sp.Get(s, &len);
       if (rec == nullptr) continue;
-      std::vector<ElementSet> attrs;
-      SIGSET_RETURN_IF_ERROR(Deserialize(rec, len, &attrs));
+      SIGSET_RETURN_IF_ERROR(Deserialize(rec, len, num_attributes_, &attrs));
       SIGSET_RETURN_IF_ERROR(fn(Oid::FromLocation(p, s), attrs));
     }
   }
@@ -237,6 +239,13 @@ Status MultiObjectStore::ForEachLive(
 }
 
 StatusOr<MultiSetObject> MultiObjectStore::Get(Oid oid, IoStats* io) const {
+  MultiSetObject obj;
+  SIGSET_RETURN_IF_ERROR(GetInto(oid, &obj, io));
+  return obj;
+}
+
+Status MultiObjectStore::GetInto(Oid oid, MultiSetObject* out,
+                                 IoStats* io) const {
   if (!oid.valid()) return Status::InvalidArgument("invalid oid");
   Page page;
   SIGSET_RETURN_IF_ERROR(
@@ -247,13 +256,8 @@ StatusOr<MultiSetObject> MultiObjectStore::Get(Oid oid, IoStats* io) const {
   if (rec == nullptr) {
     return Status::NotFound("no object at " + oid.ToString());
   }
-  MultiSetObject obj;
-  obj.oid = oid;
-  SIGSET_RETURN_IF_ERROR(Deserialize(rec, len, &obj.attrs));
-  if (obj.attrs.size() != num_attributes_) {
-    return Status::Corruption("stored attribute count mismatch");
-  }
-  return obj;
+  out->oid = oid;
+  return Deserialize(rec, len, num_attributes_, &out->attrs);
 }
 
 Status MultiObjectStore::Delete(Oid oid) {

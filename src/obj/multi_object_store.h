@@ -38,6 +38,10 @@ class MultiObjectStore {
   // resolution workers).
   StatusOr<MultiSetObject> Get(Oid oid, IoStats* io = nullptr) const;
 
+  // Get into `*out`, reusing its sets' storage (candidate resolution
+  // fetches every candidate into one object).
+  Status GetInto(Oid oid, MultiSetObject* out, IoStats* io = nullptr) const;
+
   // Removes the object.
   Status Delete(Oid oid);
 

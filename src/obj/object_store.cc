@@ -13,7 +13,9 @@ std::vector<uint8_t> SerializeSet(const ElementSet& set) {
   std::vector<uint8_t> buf(4 + set.size() * 8);
   uint32_t count = static_cast<uint32_t>(set.size());
   std::memcpy(buf.data(), &count, 4);
-  std::memcpy(buf.data() + 4, set.data(), set.size() * 8);
+  // An empty set's data() may be null; memcpy from null is undefined even
+  // for zero bytes.
+  if (!set.empty()) std::memcpy(buf.data() + 4, set.data(), set.size() * 8);
   return buf;
 }
 
@@ -25,7 +27,9 @@ Status DeserializeSet(const uint8_t* data, uint16_t len, ElementSet* out) {
     return Status::Corruption("object record length mismatch");
   }
   out->resize(count);
-  std::memcpy(out->data(), data + 4, static_cast<size_t>(count) * 8);
+  if (count > 0) {
+    std::memcpy(out->data(), data + 4, static_cast<size_t>(count) * 8);
+  }
   return Status::OK();
 }
 

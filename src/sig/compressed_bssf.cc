@@ -79,7 +79,8 @@ Status CompressedBitSlicedSignatureFile::BulkLoad(
       page.Zero();
       size_t begin = static_cast<size_t>(p) * (kPageSize / 4);
       size_t count = std::min(words.size() - begin, kPageSize / 4);
-      std::memcpy(page.data(), words.data() + begin, count * 4);
+      // Zero-length copies skip memcpy: an empty slice's data() may be null.
+      if (count > 0) std::memcpy(page.data(), words.data() + begin, count * 4);
       SIGSET_RETURN_IF_ERROR(slice_file_->Write(id, page));
     }
   }
@@ -132,7 +133,7 @@ Status CompressedBitSlicedSignatureFile::ReadSlice(uint32_t slice,
         slice_file_->Read(ref.first_page + p, &page));
     size_t begin = static_cast<size_t>(p) * (kPageSize / 4);
     size_t count = std::min(words.size() - begin, kPageSize / 4);
-    std::memcpy(words.data() + begin, page.data() + 0, count * 4);
+    if (count > 0) std::memcpy(words.data() + begin, page.data(), count * 4);
   }
   if (!WahDecode(words, num_signatures_, out)) {
     return Status::Corruption("malformed WAH slice " + std::to_string(slice));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "db/snapshot.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -167,6 +168,77 @@ TEST_F(DatabaseTest, DriverPicksCheaperPredicate) {
 TEST_F(DatabaseTest, UnknownAttributeRejected) {
   EXPECT_EQ(db_->Query({{"gpa", QueryKind::kSuperset, {1}}}).status().code(),
             StatusCode::kNotFound);
+  // A pinned snapshot keeps the same contract (it reads through the same
+  // engine code).
+  Database::Options options = StudentOptions();
+  options.enable_snapshots = true;
+  StorageManager storage;
+  auto db = Database::Create(&storage, "Pinned", options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Insert({{1, 2}, {3}}).ok());
+  auto snap = (*db)->GetSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ((*snap)->Query({{"gpa", QueryKind::kSuperset, {1}}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*snap)->ExecuteSetJoin("courses", "gpa").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*snap)->ExecuteSetJoin("gpa", "courses").status().code(),
+            StatusCode::kNotFound);
+}
+
+// Open checks every attribute's f, m and facility set against the
+// checkpoint: reopened with a different signature width m, the BSSF would
+// build query signatures the stored slices never saw and miss answers.
+TEST_F(DatabaseTest, OpenRejectsMismatchedOptions) {
+  Database::Options options;
+  Database::AttributeOptions tags;
+  tags.name = "tags";
+  tags.maintain_nix = false;
+  tags.sig = {250, 2};
+  options.attributes = {tags};
+  options.capacity = 4096;
+  StorageManager storage;
+  std::vector<ElementSet> sets;
+  {
+    auto db = Database::Create(&storage, "Tagged", options);
+    ASSERT_TRUE(db.ok());
+    Rng rng(8);
+    for (int i = 0; i < 2000; ++i) {
+      sets.push_back(rng.SampleWithoutReplacement(500, 10));
+      NormalizeSet(&sets.back());
+      ASSERT_TRUE((*db)->Insert({sets.back()}).ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  Database::Options wrong_m = options;
+  wrong_m.attributes[0].sig = {250, 3};
+  EXPECT_EQ(Database::Open(&storage, "Tagged", wrong_m).status().code(),
+            StatusCode::kFailedPrecondition);
+  Database::Options wrong_f = options;
+  wrong_f.attributes[0].sig = {256, 2};
+  EXPECT_EQ(Database::Open(&storage, "Tagged", wrong_f).status().code(),
+            StatusCode::kFailedPrecondition);
+  Database::Options wrong_facilities = options;
+  wrong_facilities.attributes[0].maintain_nix = true;
+  EXPECT_EQ(
+      Database::Open(&storage, "Tagged", wrong_facilities).status().code(),
+      StatusCode::kFailedPrecondition);
+
+  // The matching configuration reopens and answers like brute force.
+  auto db = Database::Open(&storage, "Tagged", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const ElementSet query = {sets[17][2], sets[17][7]};
+  auto result = (*db)->Query({{"tags", QueryKind::kSuperset, query}});
+  ASSERT_TRUE(result.ok());
+  std::vector<Oid> got = result->oids;
+  size_t want = 0;
+  for (const ElementSet& set : sets) {
+    want += std::includes(set.begin(), set.end(), query.begin(), query.end());
+  }
+  EXPECT_EQ(got.size(), want);
+  EXPECT_GE(want, 1u);
 }
 
 TEST_F(DatabaseTest, EmptyInputsRejected) {

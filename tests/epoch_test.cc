@@ -19,6 +19,7 @@
 #include "storage/storage_manager.h"
 #include "storage/versioned_page_file.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace sigsetdb {
 namespace {
@@ -532,6 +533,163 @@ TEST(DatabaseSnapshotTest, PinnedConjunctionSeesTheOldEpoch) {
   // Unknown attributes still fail cleanly at the snapshot layer.
   auto bad = snap->Query({{"nope", QueryKind::kSuperset, {1}}});
   EXPECT_FALSE(bad.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Live and pinned reads agree.  With snapshots on and no write after the
+// pin, a snapshot runs the engine's own read path over the pinned files, so
+// every read matches the live index exactly: OIDs, plan, candidates, false
+// drops and page accesses.
+// ---------------------------------------------------------------------------
+
+constexpr QueryKind kAllKinds[] = {
+    QueryKind::kSuperset,      QueryKind::kSubset, QueryKind::kProperSuperset,
+    QueryKind::kProperSubset,  QueryKind::kEquals, QueryKind::kOverlaps};
+
+// A query of `kind` that usually hits objects: part of a stored set for the
+// superset kinds, a widened stored set for the subset kinds, a stored set
+// for equality, two random elements for overlap.
+ElementSet ProbeFor(QueryKind kind, const std::vector<ElementSet>& stored,
+                    uint64_t domain, Rng* rng) {
+  ElementSet set = stored[rng->NextBelow(stored.size())];
+  switch (CandidateKind(kind)) {
+    case QueryKind::kSuperset:
+      set.resize(1 + rng->NextBelow(set.size()));
+      break;
+    case QueryKind::kSubset:
+      for (uint64_t e : rng->SampleWithoutReplacement(domain, 12)) {
+        set.push_back(e);
+      }
+      break;
+    case QueryKind::kOverlaps:
+      set = rng->SampleWithoutReplacement(domain, 2);
+      break;
+    default:
+      break;
+  }
+  NormalizeSet(&set);
+  return set;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> SortedPairs(const JoinResult& r) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (const JoinPair& p : r.pairs) out.emplace_back(p.r.value(), p.s.value());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(LivePinnedAgreementTest, SetIndexSelectionsAndJoins) {
+  StorageManager storage;
+  auto created = SetIndex::Create(&storage, "t", SnapshotOptions());
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<SetIndex> index = std::move(*created);
+  Rng rng(23);
+  std::vector<ElementSet> stored;
+  for (int i = 0; i < 300; ++i) {
+    stored.push_back(rng.SampleWithoutReplacement(60, 1 + rng.NextBelow(8)));
+    NormalizeSet(&stored.back());
+    ASSERT_TRUE(index->Insert(stored.back()).ok());
+  }
+  auto pinned = index->GetSnapshot();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  std::unique_ptr<Snapshot> snap = std::move(*pinned);
+
+  for (QueryKind kind : kAllKinds) {
+    for (PlanMode mode : {PlanMode::kAuto, PlanMode::kForceSsf,
+                          PlanMode::kForceBssf, PlanMode::kForceNix}) {
+      for (int q = 0; q < 10; ++q) {
+        const ElementSet query = ProbeFor(kind, stored, 60, &rng);
+        auto live = index->Query(kind, query, mode);
+        auto pin = snap->Query(kind, query, mode);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+        const std::string where = std::string(QueryKindName(kind)) +
+                                  " plan=" + live->plan;
+        EXPECT_EQ(pin->result.oids, live->result.oids) << where;
+        EXPECT_EQ(pin->plan, live->plan) << where;
+        EXPECT_EQ(pin->result.num_candidates, live->result.num_candidates)
+            << where;
+        EXPECT_EQ(pin->result.num_false_drops, live->result.num_false_drops)
+            << where;
+        EXPECT_EQ(pin->page_accesses, live->page_accesses) << where;
+      }
+    }
+  }
+  for (JoinStrategy strategy :
+       {JoinStrategy::kAuto, JoinStrategy::kNestedLoop,
+        JoinStrategy::kSignatureHash, JoinStrategy::kAdaptive}) {
+    JoinSpec spec;
+    spec.strategy = strategy;
+    auto live = index->ExecuteSetJoin(index.get(), spec);
+    auto pin = snap->ExecuteSetJoin(snap.get(), spec);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+    EXPECT_FALSE(live->join.pairs.empty());
+    EXPECT_EQ(SortedPairs(pin->join), SortedPairs(live->join)) << live->plan;
+    EXPECT_EQ(pin->plan, live->plan);
+    EXPECT_EQ(pin->page_accesses, live->page_accesses) << live->plan;
+  }
+}
+
+TEST(LivePinnedAgreementTest, DatabaseConjunctions) {
+  StorageManager storage;
+  Database::Options options;
+  Database::AttributeOptions courses;
+  courses.name = "courses";
+  courses.maintain_ssf = true;
+  courses.sig = {120, 3};
+  Database::AttributeOptions hobbies = courses;
+  hobbies.name = "hobbies";
+  hobbies.maintain_ssf = false;
+  options.attributes = {courses, hobbies};
+  options.capacity = 4096;
+  options.enable_snapshots = true;
+  auto created = Database::Create(&storage, "db", options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Database> db = std::move(*created);
+  Rng rng(29);
+  std::vector<ElementSet> course_sets, hobby_sets;
+  for (int i = 0; i < 300; ++i) {
+    course_sets.push_back(
+        rng.SampleWithoutReplacement(60, 1 + rng.NextBelow(8)));
+    hobby_sets.push_back(
+        rng.SampleWithoutReplacement(20, 1 + rng.NextBelow(4)));
+    NormalizeSet(&course_sets.back());
+    NormalizeSet(&hobby_sets.back());
+    ASSERT_TRUE(db->Insert({course_sets.back(), hobby_sets.back()}).ok());
+  }
+  auto pinned = db->GetSnapshot();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  std::unique_ptr<DatabaseSnapshot> snap = std::move(*pinned);
+
+  for (QueryKind kind : kAllKinds) {
+    for (int q = 0; q < 10; ++q) {
+      std::vector<SetPredicate> conj = {
+          {"courses", kind, ProbeFor(kind, course_sets, 60, &rng)}};
+      for (int width = 1; width <= 2; ++width) {
+        if (width == 2) {
+          const QueryKind other = kAllKinds[rng.NextBelow(6)];
+          conj.push_back(
+              {"hobbies", other, ProbeFor(other, hobby_sets, 20, &rng)});
+        }
+        auto live = db->Query(conj);
+        auto pin = snap->Query(conj);
+        ASSERT_TRUE(live.ok()) << live.status().ToString();
+        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+        EXPECT_EQ(pin->oids, live->oids) << live->driver;
+        EXPECT_EQ(pin->driver, live->driver);
+        EXPECT_EQ(pin->num_candidates, live->num_candidates) << live->driver;
+        EXPECT_EQ(pin->num_false_drops, live->num_false_drops) << live->driver;
+        EXPECT_EQ(pin->page_accesses, live->page_accesses) << live->driver;
+      }
+    }
+  }
+  auto live = db->ExecuteSetJoin("courses", "courses");
+  auto pin = snap->ExecuteSetJoin("courses", "courses");
+  ASSERT_TRUE(live.ok() && pin.ok());
+  EXPECT_EQ(SortedPairs(pin->join), SortedPairs(live->join));
+  EXPECT_EQ(pin->plan, live->plan);
+  EXPECT_EQ(pin->page_accesses, live->page_accesses);
 }
 
 }  // namespace

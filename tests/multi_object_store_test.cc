@@ -1,7 +1,10 @@
 #include "obj/multi_object_store.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "obj/object_store.h"
 #include "util/rng.h"
 
 namespace sigsetdb {
@@ -110,6 +113,60 @@ TEST(MultiObjectStoreTest, RecoverCountRestoresStatistics) {
   auto obj = reopened.Get(*oid);
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->attrs[0], ElementSet{99});
+}
+
+// Records carry no attribute count (it is fixed per store), so a
+// one-attribute record is ObjectStore's [count:u32][elem:u64]* byte for
+// byte: the same sets, empty ones included, land on the same OIDs and the
+// two files hold identical pages.
+TEST(MultiObjectStoreTest, OneAttributeRecordsMatchObjectStoreBytes) {
+  InMemoryPageFile multi_file("multi");
+  InMemoryPageFile single_file("single");
+  MultiObjectStore multi(&multi_file, 1);
+  ObjectStore single(&single_file);
+  Rng rng(11);
+  std::vector<Oid> oids;
+  for (int i = 0; i < 700; ++i) {
+    const ElementSet set =
+        i % 7 == 0 ? ElementSet{}
+                   : rng.SampleWithoutReplacement(1000, 1 + rng.NextBelow(40));
+    auto a = multi.Insert({set});
+    auto b = single.Insert(set);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b) << "object " << i;
+    oids.push_back(*a);
+  }
+  for (size_t i = 0; i < oids.size(); i += 5) {
+    ASSERT_TRUE(multi.Delete(oids[i]).ok());
+    ASSERT_TRUE(single.Delete(oids[i]).ok());
+  }
+  ASSERT_GT(multi_file.num_pages(), 5u);
+  ASSERT_EQ(multi_file.num_pages(), single_file.num_pages());
+  for (PageId p = 0; p < multi_file.num_pages(); ++p) {
+    Page a, b;
+    ASSERT_TRUE(multi_file.Read(p, &a).ok());
+    ASSERT_TRUE(single_file.Read(p, &b).ok());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), kPageSize), 0) << "page " << p;
+  }
+  // Each store reads the other's records.
+  auto via_single = single.Get(oids[1]);
+  auto via_multi = multi.Get(oids[1]);
+  ASSERT_TRUE(via_single.ok() && via_multi.ok());
+  EXPECT_EQ(via_single->set_value, via_multi->attrs[0]);
+}
+
+// Without a stored count, the exact record length is what rejects a record
+// read with the wrong attribute count: too few attributes leave trailing
+// bytes, too many run past the record.
+TEST(MultiObjectStoreTest, WrongAttributeCountIsCorruption) {
+  InMemoryPageFile file("obj");
+  MultiObjectStore two(&file, 2);
+  auto oid = two.Insert({{1, 2}, {3}});
+  ASSERT_TRUE(oid.ok());
+  MultiObjectStore one(&file, 1);
+  EXPECT_EQ(one.Get(*oid).status().code(), StatusCode::kCorruption);
+  MultiObjectStore three(&file, 3);
+  EXPECT_EQ(three.Get(*oid).status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace
