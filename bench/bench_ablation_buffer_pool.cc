@@ -27,10 +27,10 @@ void Run() {
   WorkloadConfig wconfig{32000, 13000, CardinalitySpec::Fixed(dt),
                          SkewKind::kUniform, 0.99, 7};
   auto sets = MakeDatabase(wconfig);
-  ObjectStore store(storage.CreateOrOpen("objects"));
+  MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   std::vector<Oid> oids;
   for (const auto& set : sets) {
-    oids.push_back(ValueOrDie(store.Insert(set), "insert"));
+    oids.push_back(ValueOrDie(store.Insert({set}), "insert"));
   }
 
   TablePrinter table({"pool pages", "logical/query", "physical/query",

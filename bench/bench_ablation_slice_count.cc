@@ -8,16 +8,39 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "model/actual_drops.h"
 #include "model/cost_bssf.h"
 #include "model/cost_ssf.h"
 #include "model/false_drop.h"
+#include "sig/signature.h"
 #include "util/table_printer.h"
 
 namespace sigsetdb {
 namespace {
+
+// s = 0 reads no slice, so every object is a candidate.  A zero smart
+// parameter selects the plain full zero-slice scan instead, so this row runs
+// the scan and resolution steps directly.
+double MeasureNoSlices(BenchDb& bench, int64_t dq, int trials, uint64_t seed) {
+  BitSlicedSignatureFile& bssf = bench.bssf();
+  auto run = [&](const ElementSet& query) {
+    std::vector<uint64_t> slots = ValueOrDie(
+        bssf.SubsetCandidateSlots(MakeSetSignature(query, bssf.config()), 0),
+        "slice scan");
+    CandidateResult candidates;
+    candidates.oids = ValueOrDie(bssf.ResolveSlots(slots), "oid lookup");
+    const SetPredicate pred{"", QueryKind::kSubset, query};
+    const size_t attr = 0;
+    CheckOk(ResolveCandidates(candidates, bench.store(), {&pred, 1},
+                              {&attr, 1}, /*driver=*/0, nullptr, nullptr)
+                .status(),
+            "resolution");
+  };
+  return bench.MeasureLoop(dq, trials, seed, run).pages;
+}
 
 void Run() {
   const DatabaseParams db;
@@ -40,8 +63,10 @@ void Run() {
     double resolution = OidLookupCost(db, fd, a) + db.p_s * a +
                         db.p_u * fd * (static_cast<double>(db.n) - a);
     double rc = static_cast<double>(s) + resolution;
-    double meas = bench.MeasureMeanSmartSubsetBssf(
-        dq, static_cast<size_t>(s), kTrials, 1500 + s);
+    double meas = s > 0 ? bench.MeasureMean(&bench.bssf(), QueryKind::kSubset,
+                                            dq, kTrials, 1500 + s,
+                                            static_cast<size_t>(s))
+                        : MeasureNoSlices(bench, dq, kTrials, 1500);
     table.AddRow({TablePrinter::Int(s), TablePrinter::Num(fd, 6),
                   TablePrinter::Num(resolution), TablePrinter::Num(rc),
                   TablePrinter::Num(meas)});

@@ -44,10 +44,12 @@ void Run() {
     double nix_rc = static_cast<double>(NixLookupCost(db, nix, dt)) *
                         static_cast<double>(k) +
                     a_k;
-    double bssf_meas = bench.MeasureMeanSmartSupersetBssf(
-        dq, static_cast<size_t>(k), kTrials, 1300 + k);
-    double nix_meas = bench.MeasureMeanSmartSupersetNix(
-        dq, static_cast<size_t>(k), kTrials, 1400 + k);
+    double bssf_meas = bench.MeasureMean(&bench.bssf(), QueryKind::kSuperset,
+                                         dq, kTrials, 1300 + k,
+                                         static_cast<size_t>(k));
+    double nix_meas = bench.MeasureMean(&bench.nix(), QueryKind::kSuperset,
+                                        dq, kTrials, 1400 + k,
+                                        static_cast<size_t>(k));
     table.AddRow({TablePrinter::Int(k), TablePrinter::Num(m_q),
                   TablePrinter::Num(candidates, 2),
                   TablePrinter::Num(bssf_rc), TablePrinter::Num(nix_rc),

@@ -32,10 +32,10 @@ Outcome Measure(const CardinalitySpec& spec, uint64_t seed) {
   StorageManager storage;
   WorkloadConfig wconfig{32000, 13000, spec, SkewKind::kUniform, 0.99, seed};
   auto sets = MakeDatabase(wconfig);
-  ObjectStore store(storage.CreateOrOpen("objects"));
+  MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   std::vector<Oid> oids;
   for (const auto& set : sets) {
-    oids.push_back(ValueOrDie(store.Insert(set), "insert"));
+    oids.push_back(ValueOrDie(store.Insert({set}), "insert"));
   }
   auto bssf = ValueOrDie(
       BitSlicedSignatureFile::Create({500, 2}, 32064,

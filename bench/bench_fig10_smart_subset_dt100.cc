@@ -35,8 +35,9 @@ void Run() {
     double b1000 = BssfSmartSubsetCost(db, {1000, 2}, dt, dq, &s1000);
     double b2500 = BssfSmartSubsetCost(db, {2500, 3}, dt, dq, &s2500);
     double n_cost = NixRetrievalSubset(db, nix, dt, dq);
-    MeasuredCost meas = bench.MeasureSmartSubsetBssf(
-        dq, static_cast<size_t>(s2500), kTrials, 1200 + dq);
+    MeasuredCost meas = bench.Measure(&bench.bssf(), QueryKind::kSubset, dq,
+                                      kTrials, 1200 + dq,
+                                      static_cast<size_t>(s2500));
     EmitBenchRecord("bssf.smart_subset",
                     {{"dq", static_cast<double>(dq)},
                      {"f", 2500},

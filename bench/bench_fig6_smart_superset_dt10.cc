@@ -36,10 +36,12 @@ void Run() {
     double b250 = BssfSmartSupersetCost(db, {250, 2}, dt, dq, &k250);
     double b500 = BssfSmartSupersetCost(db, {500, 2}, dt, dq, &k500);
     double n_cost = NixSmartSupersetCost(db, nix, dt, dq, &knix);
-    MeasuredCost b_meas = bench.MeasureSmartSupersetBssf(
-        dq, static_cast<size_t>(k250), kTrials, 600 + dq);
-    MeasuredCost n_meas = bench.MeasureSmartSupersetNix(
-        dq, static_cast<size_t>(knix), kTrials, 700 + dq);
+    MeasuredCost b_meas = bench.Measure(&bench.bssf(), QueryKind::kSuperset,
+                                        dq, kTrials, 600 + dq,
+                                        static_cast<size_t>(k250));
+    MeasuredCost n_meas = bench.Measure(&bench.nix(), QueryKind::kSuperset,
+                                        dq, kTrials, 700 + dq,
+                                        static_cast<size_t>(knix));
     const double fdq = static_cast<double>(dq);
     EmitBenchRecord("bssf.smart_superset",
                     {{"dq", fdq},

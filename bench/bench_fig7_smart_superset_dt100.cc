@@ -34,10 +34,12 @@ void Run() {
     double b1000 = BssfSmartSupersetCost(db, {1000, 2}, dt, dq, &k1000);
     double b2500 = BssfSmartSupersetCost(db, {2500, 3}, dt, dq, &k2500);
     double n_cost = NixSmartSupersetCost(db, nix, dt, dq, &knix);
-    MeasuredCost b_meas = bench.MeasureSmartSupersetBssf(
-        dq, static_cast<size_t>(k2500), kTrials, 800 + dq);
-    MeasuredCost n_meas = bench.MeasureSmartSupersetNix(
-        dq, static_cast<size_t>(knix), kTrials, 900 + dq);
+    MeasuredCost b_meas = bench.Measure(&bench.bssf(), QueryKind::kSuperset,
+                                        dq, kTrials, 800 + dq,
+                                        static_cast<size_t>(k2500));
+    MeasuredCost n_meas = bench.Measure(&bench.nix(), QueryKind::kSuperset,
+                                        dq, kTrials, 900 + dq,
+                                        static_cast<size_t>(knix));
     const double fdq = static_cast<double>(dq);
     EmitBenchRecord("bssf.smart_superset",
                     {{"dq", fdq},

@@ -36,8 +36,9 @@ void Run() {
     double b250 = BssfSmartSubsetCost(db, {250, 2}, dt, dq, &s250);
     double b500 = BssfSmartSubsetCost(db, {500, 2}, dt, dq, &s500);
     double n_cost = NixRetrievalSubset(db, nix, dt, dq);
-    MeasuredCost meas = bench.MeasureSmartSubsetBssf(
-        dq, static_cast<size_t>(s500), kTrials, 1100 + dq);
+    MeasuredCost meas = bench.Measure(&bench.bssf(), QueryKind::kSubset, dq,
+                                      kTrials, 1100 + dq,
+                                      static_cast<size_t>(s500));
     EmitBenchRecord("bssf.smart_subset",
                     {{"dq", static_cast<double>(dq)},
                      {"f", 500},

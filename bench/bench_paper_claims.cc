@@ -147,7 +147,8 @@ void Run() {
                                     10, 44);
     Claim("measured NIX T⊇Q cost at Dq=1 is ~27.6 pages",
           std::abs(nix1 - 27.6) < 5.0);
-    double smart_sub = bench.MeasureMeanSmartSubsetBssf(50, 169, 5, 45);
+    double smart_sub = bench.MeasureMean(&bench.bssf(), QueryKind::kSubset,
+                                         50, 5, 45, 169);
     double nix_sub = bench.MeasureMean(&bench.nix(), QueryKind::kSubset, 50,
                                        3, 46);
     Claim("measured smart-subset BSSF beats NIX by >5x at Dq=50",

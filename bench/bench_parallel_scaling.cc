@@ -48,7 +48,7 @@ RunStats RunWorkload(BenchDb& db, QueryKind kind, int64_t dq, int trials,
     ElementSet query = rng.SampleWithoutReplacement(
         static_cast<uint64_t>(db.options().v), static_cast<uint64_t>(dq));
     CheckOk(
-        ExecuteSetQuery(&db.bssf(), db.store(), kind, query, ctx).status(),
+        ExecuteSetQuery(&db.bssf(), db.store(), kind, query, 0, ctx).status(),
         "query");
   }
   auto end = std::chrono::steady_clock::now();
@@ -201,10 +201,9 @@ void BenchHotTier(const BenchDb::Options& base, int64_t dq, int trials,
     uint64_t checksum = 0;
     auto start = std::chrono::steady_clock::now();
     for (int t = 0; t < trials; ++t) {
-      auto result = ExecuteSmartSupersetBssf(
-          &db.bssf(), db.store(), queries[t % kPoolQueries],
-          /*use_elements=*/static_cast<size_t>(dq), QueryKind::kSuperset,
-          nullptr, nullptr);
+      auto result = ExecuteSetQuery(
+          &db.bssf(), db.store(), QueryKind::kSuperset,
+          queries[t % kPoolQueries], /*param=*/static_cast<size_t>(dq));
       CheckOk(result.status(), "hot-tier query");
       for (Oid oid : result->oids) checksum += oid.value();
     }

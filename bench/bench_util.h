@@ -19,7 +19,7 @@
 #include "model/params.h"
 #include "obs/json.h"
 #include "nix/nested_index.h"
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
 #include "query/executor.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
@@ -174,10 +174,11 @@ class BenchDb {
                            CardinalitySpec::Fixed(options.dt),
                            SkewKind::kUniform, 0.99, options.seed};
     sets_ = MakeDatabase(wconfig);
-    store_ = std::make_unique<ObjectStore>(storage_.CreateOrOpen("objects"));
+    store_ = std::make_unique<MultiObjectStore>(
+        storage_.CreateOrOpen("objects"), 1);
     oids_.reserve(sets_.size());
     for (const auto& set : sets_) {
-      oids_.push_back(ValueOrDie(store_->Insert(set), "object insert"));
+      oids_.push_back(ValueOrDie(store_->Insert({set}), "object insert"));
     }
     if (options.build_ssf) {
       ssf_ = ValueOrDie(
@@ -208,86 +209,6 @@ class BenchDb {
     storage_.ResetStats();
   }
 
-  // Mean measured cost per query over `trials` random Dq-element query sets
-  // (the paper's mostly-unsuccessful-search regime).
-  MeasuredCost Measure(SetAccessFacility* facility, QueryKind kind,
-                       int64_t dq, int trials, uint64_t seed) {
-    return MeasureLoop(dq, trials, seed, [&](const ElementSet& query) {
-      CheckOk(ExecuteSetQuery(facility, *store_, kind, query).status(),
-              "query");
-    });
-  }
-
-  // Measured smart strategies (paper §5.1.3 / §5.2.2).
-  MeasuredCost MeasureSmartSupersetBssf(int64_t dq, size_t use_elements,
-                                        int trials, uint64_t seed) {
-    return MeasureLoop(dq, trials, seed, [&](const ElementSet& query) {
-      CheckOk(ExecuteSmartSupersetBssf(bssf_.get(), *store_, query,
-                                       use_elements)
-                  .status(),
-              "smart superset bssf");
-    });
-  }
-
-  MeasuredCost MeasureSmartSubsetBssf(int64_t dq, size_t max_slices,
-                                      int trials, uint64_t seed) {
-    return MeasureLoop(dq, trials, seed, [&](const ElementSet& query) {
-      CheckOk(
-          ExecuteSmartSubsetBssf(bssf_.get(), *store_, query, max_slices)
-              .status(),
-          "smart subset bssf");
-    });
-  }
-
-  MeasuredCost MeasureSmartSupersetNix(int64_t dq, size_t use_elements,
-                                       int trials, uint64_t seed) {
-    return MeasureLoop(dq, trials, seed, [&](const ElementSet& query) {
-      CheckOk(ExecuteSmartSupersetNix(nix_.get(), *store_, query,
-                                      use_elements)
-                  .status(),
-              "smart superset nix");
-    });
-  }
-
-  // Page-count-only shorthands for table columns.
-  double MeasureMean(SetAccessFacility* facility, QueryKind kind, int64_t dq,
-                     int trials, uint64_t seed) {
-    return Measure(facility, kind, dq, trials, seed).pages;
-  }
-  double MeasureMeanSmartSupersetBssf(int64_t dq, size_t use_elements,
-                                      int trials, uint64_t seed) {
-    return MeasureSmartSupersetBssf(dq, use_elements, trials, seed).pages;
-  }
-  double MeasureMeanSmartSubsetBssf(int64_t dq, size_t max_slices, int trials,
-                                    uint64_t seed) {
-    return MeasureSmartSubsetBssf(dq, max_slices, trials, seed).pages;
-  }
-  double MeasureMeanSmartSupersetNix(int64_t dq, size_t use_elements,
-                                     int trials, uint64_t seed) {
-    return MeasureSmartSupersetNix(dq, use_elements, trials, seed).pages;
-  }
-
-  const Options& options() const { return options_; }
-  StorageManager& storage() { return storage_; }
-  ObjectStore& store() { return *store_; }
-  SequentialSignatureFile& ssf() { return *ssf_; }
-  BitSlicedSignatureFile& bssf() { return *bssf_; }
-  NestedIndex& nix() { return *nix_; }
-  const std::vector<ElementSet>& sets() const { return sets_; }
-  const std::vector<Oid>& oids() const { return oids_; }
-
-  // Model-parameter view of this database.
-  DatabaseParams ModelDb() const {
-    DatabaseParams db;
-    db.n = options_.n;
-    db.v = options_.v;
-    return db;
-  }
-  SignatureParams ModelSig() const {
-    return SignatureParams{options_.sig.f, options_.sig.m};
-  }
-
- private:
   // Runs `trials` seeded Dq-element queries through `run` and averages the
   // storage counters and wall clock over them.
   template <typename RunQuery>
@@ -321,9 +242,48 @@ class BenchDb {
     return total;
   }
 
+  // Mean measured cost per query over `trials` random Dq-element query sets
+  // (the paper's mostly-unsuccessful-search regime).  A non-zero `param`
+  // runs the facility's smart strategy (paper §5.1.3 / §5.2.2).
+  MeasuredCost Measure(SetAccessFacility* facility, QueryKind kind,
+                       int64_t dq, int trials, uint64_t seed,
+                       size_t param = 0) {
+    return MeasureLoop(dq, trials, seed, [&](const ElementSet& query) {
+      CheckOk(ExecuteSetQuery(facility, *store_, kind, query, param).status(),
+              "query");
+    });
+  }
+
+  // Page-count-only shorthand for table columns.
+  double MeasureMean(SetAccessFacility* facility, QueryKind kind, int64_t dq,
+                     int trials, uint64_t seed, size_t param = 0) {
+    return Measure(facility, kind, dq, trials, seed, param).pages;
+  }
+
+  const Options& options() const { return options_; }
+  StorageManager& storage() { return storage_; }
+  MultiObjectStore& store() { return *store_; }
+  SequentialSignatureFile& ssf() { return *ssf_; }
+  BitSlicedSignatureFile& bssf() { return *bssf_; }
+  NestedIndex& nix() { return *nix_; }
+  const std::vector<ElementSet>& sets() const { return sets_; }
+  const std::vector<Oid>& oids() const { return oids_; }
+
+  // Model-parameter view of this database.
+  DatabaseParams ModelDb() const {
+    DatabaseParams db;
+    db.n = options_.n;
+    db.v = options_.v;
+    return db;
+  }
+  SignatureParams ModelSig() const {
+    return SignatureParams{options_.sig.f, options_.sig.m};
+  }
+
+ private:
   Options options_;
   StorageManager storage_;
-  std::unique_ptr<ObjectStore> store_;
+  std::unique_ptr<MultiObjectStore> store_;
   std::unique_ptr<SequentialSignatureFile> ssf_;
   std::unique_ptr<BitSlicedSignatureFile> bssf_;
   std::unique_ptr<NestedIndex> nix_;

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
 #include "query/executor.h"
 #include "sig/bssf.h"
 #include "storage/storage_manager.h"
@@ -15,16 +15,17 @@
 using sigsetdb::BitSlicedSignatureFile;
 using sigsetdb::BssfInsertMode;
 using sigsetdb::ElementSet;
-using sigsetdb::ObjectStore;
+using sigsetdb::MultiObjectStore;
 using sigsetdb::Oid;
 using sigsetdb::QueryKind;
 using sigsetdb::SignatureConfig;
 using sigsetdb::StorageManager;
 
 int main() {
-  // 1. A storage manager owns the page files of one database.
+  // 1. A storage manager owns the page files of one database; the object
+  //    file holds objects with one set attribute each.
   StorageManager storage;
-  ObjectStore objects(storage.CreateOrOpen("objects"));
+  MultiObjectStore objects(storage.CreateOrOpen("objects"), 1);
 
   // 2. Create the access facility: a bit-sliced signature file with
   //    F = 64 bits per signature and m = 2 bits per element.
@@ -49,7 +50,7 @@ int main() {
   };
   std::vector<Oid> oids;
   for (const ElementSet& set : values) {
-    auto oid = objects.Insert(set);
+    auto oid = objects.Insert({set});
     if (!oid.ok()) return 1;
     if (!(*bssf)->Insert(*oid, set).ok()) return 1;
     oids.push_back(*oid);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "nix/nested_index.h"
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
 #include "obj/schema.h"
 #include "query/executor.h"
 #include "sig/bssf.h"
@@ -44,7 +44,7 @@ int RunExample() {
   }
 
   StorageManager storage;
-  ObjectStore profiles(storage.CreateOrOpen("profiles"));
+  MultiObjectStore profiles(storage.CreateOrOpen("profiles"), 1);
   auto ssf = SequentialSignatureFile::Create(
       SignatureConfig{250, 2}, storage.CreateOrOpen("tags.ssf.sig"),
       storage.CreateOrOpen("tags.ssf.oid"));
@@ -63,7 +63,7 @@ int RunExample() {
   std::vector<ElementSet> sets = MakeDatabase(wconfig);
   std::vector<Oid> oids;
   for (const ElementSet& set : sets) {
-    auto oid = profiles.Insert(set);
+    auto oid = profiles.Insert({set});
     if (!oid.ok()) return Fail(oid.status());
     oids.push_back(*oid);
     if (auto st = (*ssf)->Insert(*oid, set); !st.ok()) return Fail(st);

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "nix/nested_index.h"
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
 #include "obj/schema.h"
 #include "query/executor.h"
 #include "sig/bssf.h"
@@ -58,8 +58,8 @@ int RunExample() {
                 {"hobbies", AttributeKind::kSetOfString, ""}}}));
 
   StorageManager storage;
-  ObjectStore course_store(storage.CreateOrOpen("courses"));
-  ObjectStore student_store(storage.CreateOrOpen("students"));
+  MultiObjectStore course_store(storage.CreateOrOpen("courses"), 1);
+  MultiObjectStore student_store(storage.CreateOrOpen("students"), 1);
 
   // --- populate Courses (8 of them, 3 in the DB category) ---
   const char* kCourseNames[] = {"DB Theory",  "DB Systems",  "Datalog",
@@ -73,7 +73,7 @@ int RunExample() {
     c.name = kCourseNames[i];
     c.category = kCategories[i];
     // Course objects carry no set attribute; store an empty set.
-    auto oid = course_store.Insert({});
+    auto oid = course_store.Insert({ElementSet{}});
     if (!oid.ok()) return Fail(oid.status());
     c.oid = *oid;
     courses.push_back(c);
@@ -112,7 +112,7 @@ int RunExample() {
           ElementDictionary::IdForOid(courses[idx].oid));
     }
     NormalizeSet(&s.course_oids);
-    auto oid = student_store.Insert(s.course_oids);
+    auto oid = student_store.Insert({s.course_oids});
     if (!oid.ok()) return Fail(oid.status());
     s.oid = *oid;
     if (auto st = (*bssf)->Insert(s.oid, s.course_oids); !st.ok()) {

@@ -24,26 +24,6 @@ constexpr char kKeyWal[] = "config_wal";
 // replay applies only records beyond it.  Missing (pre-WAL manifest) = 0.
 constexpr char kKeyWalLsn[] = "wal_lsn";
 
-// Evaluates `kind` on a stored set value.
-bool Satisfies(const ElementSet& value, QueryKind kind,
-               const ElementSet& query) {
-  switch (kind) {
-    case QueryKind::kSuperset:
-      return IsSubset(query, value);
-    case QueryKind::kSubset:
-      return IsSubset(value, query);
-    case QueryKind::kProperSuperset:
-      return value.size() > query.size() && IsSubset(query, value);
-    case QueryKind::kProperSubset:
-      return value.size() < query.size() && IsSubset(value, query);
-    case QueryKind::kEquals:
-      return value == query;
-    case QueryKind::kOverlaps:
-      return Overlaps(value, query);
-  }
-  return false;
-}
-
 // Statuses after which the instance's state can no longer be trusted; the
 // first one triggers the one-shot flight-recorder postmortem.
 bool IsFatalStatus(const Status& status) {
@@ -696,10 +676,19 @@ Status Database::RunSelection(const ReadView& view, Selection* sel,
     trace->dq = dq;
   }
   const IoStats before = view.TotalStats();
+  // Plan only returns maintained facilities.
   SIGSET_ASSIGN_OR_RETURN(
       CandidateResult candidates,
-      attr.Candidates(sel->plan, driver.kind, driver.query, view.ctx, trace));
-  SIGSET_RETURN_IF_ERROR(Resolve(view, *sel, candidates, trace, &out));
+      SelectCandidates(attr.Facility(sel->plan.facility), driver.kind,
+                       driver.query, static_cast<size_t>(sel->plan.param),
+                       view.ctx, trace));
+  SIGSET_ASSIGN_OR_RETURN(
+      QueryResult resolved,
+      ResolveCandidates(candidates, *view.store, sel->preds, sel->attrs,
+                        sel->driver, view.ctx, trace));
+  out.oids = std::move(resolved.oids);
+  out.num_candidates = resolved.num_candidates;
+  out.num_false_drops = resolved.num_false_drops;
   sel->io = view.TotalStats() - before;
   out.page_accesses = sel->io.total();
   if (trace == nullptr) return Status::OK();
@@ -723,121 +712,6 @@ Status Database::RunSelection(const ReadView& view, Selection* sel,
     } else if (stage.name == "resolution") {
       stage.predicted_pages = bd.resolution;
     }
-  }
-  return Status::OK();
-}
-
-Status Database::Resolve(const ReadView& view, const Selection& sel,
-                         const CandidateResult& candidates, QueryTrace* trace,
-                         DatabaseQueryResult* out) {
-  // One fetch per candidate, every predicate checked on the stored sets.
-  // With a pool, contiguous candidate ranges resolve concurrently through
-  // thread-local IoStats merged below, so the kept-OID order and the
-  // page-access total match the serial loop.
-  const MultiObjectStore& store = *view.store;
-  const size_t n = candidates.oids.size();
-  const size_t workers =
-      view.ctx == nullptr ? 1 : std::max<size_t>(1, view.ctx->WorkersFor(n));
-  struct Worker {
-    std::vector<Oid> kept;
-    uint64_t false_drops = 0;
-    uint64_t processed = 0;
-    double wall_ms = 0.0;
-    IoStats io;
-    Status status;
-  };
-  std::vector<Worker> states(workers);
-  const SetPredicate& driver = sel.preds[sel.driver];
-  const size_t driver_attr = sel.attrs[sel.driver];
-  auto resolve = [&](size_t w, size_t begin, size_t end) {
-    Worker& ws = states[w];
-    TraceTimer timer(trace != nullptr);
-    IoStats* io = workers > 1 ? &ws.io : &store.stats();
-    ws.processed = end - begin;
-    MultiSetObject obj;  // reused: one fetch per candidate, no allocation
-    for (size_t i = begin; i < end; ++i) {
-      const Oid oid = candidates.oids[i];
-      Status got = store.GetInto(oid, &obj, io);
-      if (!got.ok()) {
-        // A candidate with no stored object is a false drop, not an error
-        // — even for exact candidate sets: crash recovery rolls the
-        // indexes back to a checkpoint that can still reference objects
-        // whose store delete already committed.
-        if (got.code() == StatusCode::kNotFound) {
-          ++ws.false_drops;
-          continue;
-        }
-        ws.status = std::move(got);
-        return;
-      }
-      bool keep = Satisfies(obj.attrs[driver_attr], driver.kind, driver.query);
-      if (!keep && candidates.exact) {
-        ws.status = Status::Internal(
-            "facility reported exact candidates but " + oid.ToString() +
-            " fails the predicate");
-        return;
-      }
-      for (size_t p = 0; keep && p < sel.preds.size(); ++p) {
-        keep = p == sel.driver || Satisfies(obj.attrs[sel.attrs[p]],
-                                            sel.preds[p].kind,
-                                            sel.preds[p].query);
-      }
-      if (keep) {
-        ws.kept.push_back(oid);
-      } else {
-        ++ws.false_drops;
-      }
-    }
-    ws.wall_ms = timer.ElapsedMs();
-  };
-  const IoStats before = store.stats();
-  TraceTimer timer(trace != nullptr);
-  if (workers > 1) {
-    view.ctx->pool->ParallelFor(n, workers, resolve);
-    // Merge stats before checking statuses so accounting stays exact even
-    // when a worker failed.
-    std::vector<Status> statuses;
-    for (const Worker& ws : states) {
-      store.stats() += ws.io;
-      statuses.push_back(ws.status);
-    }
-    SIGSET_RETURN_IF_ERROR(MergeWorkerStatuses(statuses));
-  } else {
-    resolve(0, 0, n);
-    SIGSET_RETURN_IF_ERROR(states[0].status);
-  }
-  out->num_candidates = n;
-  for (Worker& ws : states) {
-    if (out->oids.empty()) {
-      out->oids = std::move(ws.kept);
-    } else {
-      out->oids.insert(out->oids.end(), ws.kept.begin(), ws.kept.end());
-    }
-    out->num_false_drops += ws.false_drops;
-  }
-  if (trace == nullptr) return Status::OK();
-  const IoStats delta = store.stats() - before;
-  TraceSpan* span = trace->AddStage("resolution");
-  span->page_reads = delta.reads();
-  span->page_writes = delta.writes();
-  span->wall_ms = timer.ElapsedMs();
-  span->candidates = static_cast<int64_t>(n);
-  span->false_drops = static_cast<int64_t>(out->num_false_drops);
-  // One timed child per worker (the trace-event exporter renders these as
-  // parallel tracks, making resolve skew visible); their page deltas sum to
-  // the span's, since each worker resolved a disjoint range.
-  for (size_t w = 0; workers > 1 && w < states.size(); ++w) {
-    TraceSpan child;
-    child.name = "worker " + std::to_string(w);
-    child.page_reads = states[w].io.reads();
-    child.page_writes = states[w].io.writes();
-    child.pages_skipped = states[w].io.skips();
-    child.pages_cow = states[w].io.cows();
-    child.pages_hot = states[w].io.hots();
-    child.wall_ms = states[w].wall_ms;
-    child.candidates = static_cast<int64_t>(states[w].processed);
-    child.false_drops = static_cast<int64_t>(states[w].false_drops);
-    span->children.push_back(std::move(child));
   }
   return Status::OK();
 }

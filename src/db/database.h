@@ -34,6 +34,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/advisor.h"
+#include "query/executor.h"
 #include "query/join.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
@@ -58,13 +59,6 @@ enum class PlanMode {
   kForceSsf,
   kForceBssf,
   kForceNix,
-};
-
-// One conjunct: <attribute> <operator> <query set>.
-struct SetPredicate {
-  std::string attribute;
-  QueryKind kind;
-  ElementSet query;  // normalized by the evaluator
 };
 
 // Result of a (possibly multi-predicate) query.
@@ -296,15 +290,13 @@ class Database {
 
   // The read path, shared by live and pinned callers, which keep their own
   // bookkeeping.  The cheapest predicate drives candidate selection; every
-  // candidate is fetched once and checked against the whole conjunction.
+  // candidate is fetched once and checked against the whole conjunction
+  // (query/executor.h's two steps).
   static StatusOr<Selection> PlanSelection(const ReadView& view,
                                           std::vector<SetPredicate> predicates,
                                           PlanMode mode);
   static Status RunSelection(const ReadView& view, Selection* sel,
                              QueryTrace* trace);
-  static Status Resolve(const ReadView& view, const Selection& sel,
-                        const CandidateResult& candidates, QueryTrace* trace,
-                        DatabaseQueryResult* out);
   // R ⋈⊆ S between attribute `r_attr` of `r` and `s_attr` of `s`.
   static StatusOr<DatabaseJoinResult> RunJoin(const ReadView& r,
                                               size_t r_attr,

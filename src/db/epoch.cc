@@ -121,6 +121,7 @@ uint64_t EpochManager::pinned_count() const {
 }
 
 uint64_t EpochManager::RunReclaimers(uint64_t oldest) {
+  std::lock_guard<std::mutex> pass(reclaim_mu_);
   std::vector<ReclaimFn> fns;
   Gauge* backlog = nullptr;
   Counter* reclaimed = nullptr;

@@ -145,6 +145,9 @@ class EpochManager {
   Counter* reclaimed_counter_ = nullptr;
   Histogram* pin_us_ = nullptr;
   uint64_t live_pins_ = 0;  // running Σ pins_ values, for the gauge
+  // Serialises reclamation passes: ReclaimNow and the background loop
+  // must not walk and free the same version chains at once.
+  std::mutex reclaim_mu_;
   std::thread reclaimer_;
 };
 

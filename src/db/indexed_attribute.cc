@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "sig/signature.h"
-
 namespace sigsetdb {
 
 namespace {
@@ -453,50 +451,6 @@ StatusOr<AccessPathChoice> IndexedAttribute::Plan(
     if (Facility(choice.facility) != nullptr) return std::move(choice);
   }
   return Status::Internal("no maintained facility matched the plan");
-}
-
-StatusOr<CandidateResult> IndexedAttribute::Candidates(
-    const AccessPathChoice& plan, QueryKind kind, const ElementSet& query,
-    const ParallelExecutionContext* ctx, QueryTrace* trace) {
-  // Plan only returns maintained facilities.
-  SetAccessFacility* facility = Facility(plan.facility);
-  IoSnapshots before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = facility->StageStats();
-  // Proper inclusion (⊋/⊊) reuses the non-strict candidates; strictness is
-  // checked at resolution, where the stored cardinality is known.
-  const QueryKind ck = CandidateKind(kind);
-  const size_t param = static_cast<size_t>(plan.param);
-  CandidateResult candidates;
-  if (param > 0 && facility == nix_.get() && ck == QueryKind::kSuperset) {
-    SIGSET_ASSIGN_OR_RETURN(candidates,
-                            nix_->CandidatesSmartSuperset(query, param));
-  } else if (param > 0 && facility == bssf_.get() &&
-             ck == QueryKind::kSuperset) {
-    // Smart T ⊇ Q (§5.1.3): a signature of only `param` query elements.
-    const BitVector sig =
-        MakePartialQuerySignature(query, param, bssf_->config());
-    SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
-                            bssf_->SupersetCandidateSlots(sig, ctx));
-    SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf_->ResolveSlots(slots));
-  } else if (param > 0 && facility == bssf_.get() &&
-             ck == QueryKind::kSubset) {
-    // Smart T ⊆ Q (§5.2.2): at most `param` of the zero slices.
-    const BitVector sig = MakeSetSignature(query, bssf_->config());
-    SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
-                            bssf_->SubsetCandidateSlots(sig, param, ctx));
-    SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf_->ResolveSlots(slots));
-  } else {
-    SIGSET_ASSIGN_OR_RETURN(candidates, facility->Candidates(ck, query, ctx));
-  }
-  if (kind != ck) candidates.exact = false;
-  if (trace != nullptr) {
-    TraceSpan* span = AddSnapshotStage(trace, "candidate selection", before,
-                                       facility->StageStats());
-    span->wall_ms = timer.ElapsedMs();
-    span->candidates = static_cast<int64_t>(candidates.oids.size());
-  }
-  return candidates;
 }
 
 IoStats IndexedAttribute::PinnedStats() const {

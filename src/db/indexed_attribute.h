@@ -2,9 +2,9 @@
 //
 // It owns the attribute's SSF/BSSF/NIX, the statistics the cost model reads
 // (the Dt total and the HyperLogLog sketch behind V), its copy-on-write
-// wrapper slots and its per-generation file names, and it makes the two
-// per-attribute read decisions: Plan (which facility and strategy) and
-// Candidates (running that plan).
+// wrapper slots and its per-generation file names, and it makes the
+// per-attribute read decision: Plan (which facility and strategy).  The
+// engine runs that plan through query/executor.h's SelectCandidates.
 //
 // A live attribute is kept current by the engine's writes.  A pinned
 // attribute is the same type built over one epoch's EpochReadViews, with V
@@ -24,7 +24,6 @@
 #include "db/manifest.h"
 #include "nix/nested_index.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "query/advisor.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
@@ -141,12 +140,8 @@ class IndexedAttribute {
                                   uint64_t num_objects, PlanMode mode,
                                   const MetricsRegistry* feedback) const;
 
-  // Runs `plan`'s candidate selection for `kind` (its non-strict candidate
-  // kind) and appends the "candidate selection" span when `trace` is set.
-  StatusOr<CandidateResult> Candidates(const AccessPathChoice& plan,
-                                       QueryKind kind, const ElementSet& query,
-                                       const ParallelExecutionContext* ctx,
-                                       QueryTrace* trace);
+  // The maintained facility called `name` ("ssf", "bssf", "nix"), or null.
+  SetAccessFacility* Facility(const std::string& name) const;
 
   // Pages read through a pinned view's adapters (zero for live attributes).
   IoStats PinnedStats() const;
@@ -176,8 +171,6 @@ class IndexedAttribute {
   // Applies the settings to the current SSF/BSSF.
   void Configure();
   Shape CurrentShape() const;
-  // The maintained facility called `name` ("ssf", "bssf", "nix"), or null.
-  SetAccessFacility* Facility(const std::string& name) const;
   std::array<SetAccessFacility*, 3> Facilities() const {
     return {ssf_.get(), bssf_.get(), nix_.get()};
   }

@@ -7,11 +7,11 @@
 // facility.  Two design points follow from the crash-test matrix's
 // "no acknowledged write lost, no phantom write invented" contract:
 //
-//   * Inserts carry the *predicted* OID (ObjectStore::PeekNextOid), computed
-//     before the store is touched.  Replay re-applies at that (page, slot),
-//     so OIDs — which are physical — are stable across a crash, and a record
-//     whose apply never started is indistinguishable from one fully applied
-//     then replayed (replay is idempotent).
+//   * Inserts carry the *predicted* OID (MultiObjectStore::PeekNextOid),
+//     computed before the store is touched.  Replay re-applies at that
+//     (page, slot), so OIDs — which are physical — are stable across a
+//     crash, and a record whose apply never started is indistinguishable
+//     from one fully applied then replayed (replay is idempotent).
 //
 //   * Deletes carry the victim's full PREIMAGE (its value sets).  If the
 //     apply of a committed record fails midway (a transient I/O fault, not a

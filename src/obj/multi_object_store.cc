@@ -9,8 +9,7 @@ namespace sigsetdb {
 namespace {
 
 // Record layout: per attribute [count:u32][elems:u64*].  The attribute
-// count is fixed per store, so a one-attribute record is byte-identical to
-// ObjectStore's.
+// count is fixed per store, so it is not stored.
 std::vector<uint8_t> Serialize(const std::vector<ElementSet>& attrs) {
   size_t bytes = 0;
   for (const ElementSet& set : attrs) bytes += 4 + set.size() * 8;

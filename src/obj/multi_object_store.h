@@ -1,9 +1,13 @@
-// MultiObjectStore: objects with several set-valued attributes.
+// MultiObjectStore: the object file.
 //
-// The paper's Student class carries two set attributes (`courses`,
-// `hobbies`).  This store keeps the whole object in one slotted-page record
-// — "no type of decomposition is applied" — so a fetch still costs one page
-// access, while each attribute can be indexed by its own access facility.
+// Objects are stored in slotted pages ("objects are straightforwardly
+// stored in the object file; no type of decomposition is applied" — paper
+// §4), the whole object in one record.  OIDs are physical (page, slot), so
+// Get costs exactly one page read, realizing the model's P_s = P_u = 1 page
+// access per object retrieval.  The paper's Student class carries two set
+// attributes (`courses`, `hobbies`), each indexed by its own access
+// facility; a one-attribute store is the paper's single-attribute object
+// file.
 
 #ifndef SIGSET_OBJ_MULTI_OBJECT_STORE_H_
 #define SIGSET_OBJ_MULTI_OBJECT_STORE_H_
@@ -26,8 +30,10 @@ struct MultiSetObject {
 // Heap file of multi-attribute objects with physical OIDs.
 class MultiObjectStore {
  public:
-  // Does not take ownership of `file`.  `num_attributes` is fixed per store
-  // (one class per store, as in the paper's schema).
+  // Does not take ownership of `file`; `file` must outlive the store and be
+  // empty or previously populated by a store with the same
+  // `num_attributes`, which is fixed per store (one class per store, as in
+  // the paper's schema).
   MultiObjectStore(PageFile* file, uint16_t num_attributes);
 
   // Appends an object; `attr_values.size()` must equal num_attributes().
@@ -42,31 +48,43 @@ class MultiObjectStore {
   // fetches every candidate into one object).
   Status GetInto(Oid oid, MultiSetObject* out, IoStats* io = nullptr) const;
 
-  // Removes the object.
+  // Removes the object (one page read + one page write).  The OID becomes
+  // dangling; access facilities are responsible for their own bookkeeping.
   Status Delete(Oid oid);
 
-  // --- Write-ahead-log support (see ObjectStore for semantics) -----------
+  // --- Write-ahead-log support -------------------------------------------
+  // OIDs are physical, so the WAL must log the OID an insert WILL get
+  // before touching the store (log-before-apply); these predict it by
+  // simulating the append on a scratch copy of the tail page.
 
   // The OID Insert(attr_values) would assign right now.
   StatusOr<Oid> PeekNextOid(const std::vector<ElementSet>& attr_values) const;
 
-  // The OIDs a sequence of Inserts would assign.
+  // The OIDs a sequence of Inserts would assign (simulates page fills and
+  // fresh-page starts across the whole batch).
   StatusOr<std::vector<Oid>> PeekOids(
       const std::vector<std::vector<ElementSet>>& objects) const;
 
-  // Recovery redo: verify-or-write the object at exactly `oid`.
+  // Recovery redo: make the object at exactly `oid` exist with
+  // `attr_values`.  Verifies if already present (idempotent), appends if
+  // the slot is next in sequence, resurrects if tombstoned (aborted
+  // delete); kCorruption if the slot holds a different record or is out of
+  // sequence.
   Status ReplayEnsurePresent(Oid oid,
                              const std::vector<ElementSet>& attr_values);
 
-  // Recovery redo: make `oid` not exist.
+  // Recovery redo: make `oid` not exist (no-op when it already doesn't).
   Status ReplayEnsureAbsent(Oid oid);
 
-  // Scans every live object in physical order.
+  // Scans every live object in physical order.  Recovery rebuilds the
+  // access facilities and counters from this — the store is the single
+  // source of truth after replay.
   Status ForEachLive(
       const std::function<Status(Oid, const std::vector<ElementSet>&)>& fn)
       const;
 
-  // Restores the live-object counter after reopening a populated file.
+  // Restores the live-object counter after reopening a populated file
+  // (physical OIDs need no other recovery; the page data is the state).
   void RecoverCount(uint64_t num_objects) { num_objects_ = num_objects; }
 
   uint16_t num_attributes() const { return num_attributes_; }

@@ -20,31 +20,4 @@ bool Overlaps(const ElementSet& a, const ElementSet& b) {
   return false;
 }
 
-bool SatisfiesSuperset(const StoredObject& obj, const ElementSet& query) {
-  return IsSubset(query, obj.set_value);
-}
-
-bool SatisfiesSubset(const StoredObject& obj, const ElementSet& query) {
-  return IsSubset(obj.set_value, query);
-}
-
-bool SatisfiesProperSuperset(const StoredObject& obj,
-                             const ElementSet& query) {
-  return obj.set_value.size() > query.size() &&
-         IsSubset(query, obj.set_value);
-}
-
-bool SatisfiesProperSubset(const StoredObject& obj, const ElementSet& query) {
-  return obj.set_value.size() < query.size() &&
-         IsSubset(obj.set_value, query);
-}
-
-bool SatisfiesEquals(const StoredObject& obj, const ElementSet& query) {
-  return obj.set_value == query;
-}
-
-bool SatisfiesOverlap(const StoredObject& obj, const ElementSet& query) {
-  return Overlaps(obj.set_value, query);
-}
-
 }  // namespace sigsetdb

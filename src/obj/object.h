@@ -33,24 +33,11 @@ bool IsSubset(const ElementSet& sub, const ElementSet& super);
 // Returns true iff the sets share at least one element.  Both normalized.
 bool Overlaps(const ElementSet& a, const ElementSet& b);
 
-// An object as stored in the object file.
+// One object of a one-attribute class, as SetIndex and Snapshot return it.
 struct StoredObject {
-  Oid oid;            // assigned by ObjectStore::Insert
+  Oid oid;
   ElementSet set_value;  // the indexed set attribute (normalized)
-
-  // Serialized size: count (4 bytes) + 8 bytes per element.
-  size_t SerializedBytes() const { return 4 + set_value.size() * 8; }
 };
-
-// Evaluates the paper's predicates against a stored object's set value.
-// `query` must be normalized.
-bool SatisfiesSuperset(const StoredObject& obj, const ElementSet& query);
-bool SatisfiesSubset(const StoredObject& obj, const ElementSet& query);
-bool SatisfiesProperSuperset(const StoredObject& obj,
-                             const ElementSet& query);
-bool SatisfiesProperSubset(const StoredObject& obj, const ElementSet& query);
-bool SatisfiesEquals(const StoredObject& obj, const ElementSet& query);
-bool SatisfiesOverlap(const StoredObject& obj, const ElementSet& query);
 
 }  // namespace sigsetdb
 

@@ -1,119 +1,69 @@
 #include "query/executor.h"
 
-#include <vector>
+#include <algorithm>
+#include <utility>
+
+#include "nix/nested_index.h"
+#include "sig/bssf.h"
+#include "sig/signature.h"
 
 namespace sigsetdb {
 
-namespace {
-
-bool Satisfies(const StoredObject& obj, QueryKind kind,
-               const ElementSet& query) {
-  switch (kind) {
-    case QueryKind::kSuperset:
-      return SatisfiesSuperset(obj, query);
-    case QueryKind::kSubset:
-      return SatisfiesSubset(obj, query);
-    case QueryKind::kProperSuperset:
-      return SatisfiesProperSuperset(obj, query);
-    case QueryKind::kProperSubset:
-      return SatisfiesProperSubset(obj, query);
-    case QueryKind::kEquals:
-      return SatisfiesEquals(obj, query);
-    case QueryKind::kOverlaps:
-      return SatisfiesOverlap(obj, query);
+StatusOr<CandidateResult> SelectCandidates(
+    SetAccessFacility* facility, QueryKind kind, const ElementSet& query,
+    size_t param, const ParallelExecutionContext* ctx, QueryTrace* trace) {
+  IoSnapshots before;
+  TraceTimer timer(trace != nullptr);
+  if (trace != nullptr) before = facility->StageStats();
+  const QueryKind ck = CandidateKind(kind);
+  NestedIndex* nix =
+      param > 0 ? dynamic_cast<NestedIndex*>(facility) : nullptr;
+  BitSlicedSignatureFile* bssf =
+      param > 0 ? dynamic_cast<BitSlicedSignatureFile*>(facility) : nullptr;
+  CandidateResult candidates;
+  if (nix != nullptr && ck == QueryKind::kSuperset) {
+    SIGSET_ASSIGN_OR_RETURN(candidates,
+                            nix->CandidatesSmartSuperset(query, param));
+  } else if (bssf != nullptr && ck == QueryKind::kSuperset) {
+    // Smart T ⊇ Q (§5.1.3): a signature of only `param` query elements.
+    const BitVector sig =
+        MakePartialQuerySignature(query, param, bssf->config());
+    SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
+                            bssf->SupersetCandidateSlots(sig, ctx));
+    SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf->ResolveSlots(slots));
+  } else if (bssf != nullptr && ck == QueryKind::kSubset) {
+    // Smart T ⊆ Q (§5.2.2): at most `param` of the zero slices.
+    const BitVector sig = MakeSetSignature(query, bssf->config());
+    SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
+                            bssf->SubsetCandidateSlots(sig, param, ctx));
+    SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf->ResolveSlots(slots));
+  } else {
+    SIGSET_ASSIGN_OR_RETURN(candidates, facility->Candidates(ck, query, ctx));
   }
-  return false;
-}
-
-// Resolves candidates[begin..end), charging page reads to `io`.  Appends
-// kept OIDs to `kept` in candidate order.
-using FileSnapshots = IoSnapshots;
-
-// Appends the "candidate selection" span covering the facility I/O between
-// `before` (a StageStats() value snapshot) and `after` — one child per
-// facility file.  Pure counter arithmetic; no I/O of its own.
-void AddCandidateStage(QueryTrace* trace, const FileSnapshots& before,
-                       const FileSnapshots& after, double wall_ms,
-                       uint64_t num_candidates) {
-  TraceSpan* span =
-      AddSnapshotStage(trace, "candidate selection", before, after);
-  span->wall_ms = wall_ms;
-  span->candidates = static_cast<int64_t>(num_candidates);
-}
-
-Status ResolveRange(const CandidateResult& candidates,
-                    const ObjectStore& store, QueryKind kind,
-                    const ElementSet& query, size_t begin, size_t end,
-                    IoStats* io, std::vector<Oid>* kept,
-                    uint64_t* false_drops) {
-  for (size_t i = begin; i < end; ++i) {
-    Oid oid = candidates.oids[i];
-    StatusOr<StoredObject> obj = store.Get(oid, io);
-    if (!obj.ok()) {
-      // A candidate with no stored object is a false drop, not an error —
-      // even for exact candidate sets: crash recovery rolls the indexes
-      // back to a checkpoint that can still reference objects whose store
-      // delete already committed.
-      if (obj.status().code() == StatusCode::kNotFound) {
-        ++*false_drops;
-        continue;
-      }
-      return obj.status();
-    }
-    if (Satisfies(*obj, kind, query)) {
-      kept->push_back(oid);
-    } else {
-      if (candidates.exact) {
-        return Status::Internal(
-            "facility reported exact candidates but " + oid.ToString() +
-            " fails the predicate");
-      }
-      ++*false_drops;
-    }
+  if (kind != ck) candidates.exact = false;
+  if (trace != nullptr) {
+    TraceSpan* span = AddSnapshotStage(trace, "candidate selection", before,
+                                       facility->StageStats());
+    span->wall_ms = timer.ElapsedMs();
+    span->candidates = static_cast<int64_t>(candidates.oids.size());
   }
-  return Status::OK();
+  return candidates;
 }
-
-}  // namespace
 
 StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
-                                        const ObjectStore& store,
-                                        QueryKind kind,
-                                        const ElementSet& query,
+                                        const MultiObjectStore& store,
+                                        std::span<const SetPredicate> preds,
+                                        std::span<const size_t> attrs,
+                                        size_t driver,
                                         const ParallelExecutionContext* ctx,
                                         QueryTrace* trace) {
-  // Tracing snapshots the store's counters around the stage; on the
-  // parallel path worker-local stats merge into store.stats() before the
-  // final snapshot, so the delta is exact in both modes.
-  IoStats before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = store.stats();
-  QueryResult result;
-  result.num_candidates = candidates.oids.size();
+  // With a pool, contiguous candidate ranges resolve concurrently through
+  // thread-local IoStats merged below, so the kept-OID order and the
+  // page-access total match the serial loop.
   const size_t n = candidates.oids.size();
-  const size_t workers = ctx == nullptr ? 1 : ctx->WorkersFor(n);
-  if (workers <= 1) {
-    result.oids.reserve(n);
-    SIGSET_RETURN_IF_ERROR(ResolveRange(candidates, store, kind, query, 0, n,
-                                        &store.stats(), &result.oids,
-                                        &result.num_false_drops));
-    if (trace != nullptr) {
-      const IoStats delta = store.stats() - before;
-      TraceSpan* span = trace->AddStage("resolution");
-      span->page_reads = delta.reads();
-      span->page_writes = delta.writes();
-      span->wall_ms = timer.ElapsedMs();
-      span->candidates = static_cast<int64_t>(result.num_candidates);
-      span->false_drops = static_cast<int64_t>(result.num_false_drops);
-    }
-    return result;
-  }
-
-  // Each worker resolves one contiguous candidate range through a thread-
-  // local IoStats; ranges are concatenated in worker order, so the kept-OID
-  // order matches the serial loop and every candidate is fetched exactly
-  // once (logical page-access totals unchanged).
-  struct WorkerState {
+  const size_t workers =
+      ctx == nullptr ? 1 : std::max<size_t>(1, ctx->WorkersFor(n));
+  struct Worker {
     std::vector<Oid> kept;
     uint64_t false_drops = 0;
     uint64_t processed = 0;
@@ -121,148 +71,116 @@ StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
     IoStats io;
     Status status;
   };
-  std::vector<WorkerState> states(workers);
-  ctx->pool->ParallelFor(n, workers,
-                         [&](size_t w, size_t begin, size_t end) {
-                           WorkerState& ws = states[w];
-                           TraceTimer worker_timer(trace != nullptr);
-                           ws.processed = end - begin;
-                           ws.kept.reserve(end - begin);
-                           ws.status = ResolveRange(
-                               candidates, store, kind, query, begin, end,
-                               &ws.io, &ws.kept, &ws.false_drops);
-                           if (trace != nullptr) {
-                             ws.wall_ms = worker_timer.ElapsedMs();
-                           }
-                         });
-  // Merge stats before checking statuses so accounting stays exact even
-  // when a worker failed.
-  for (const WorkerState& ws : states) store.stats() += ws.io;
-  std::vector<Status> statuses;
-  statuses.reserve(states.size());
-  for (const WorkerState& ws : states) statuses.push_back(ws.status);
-  SIGSET_RETURN_IF_ERROR(MergeWorkerStatuses(statuses));
-  size_t total_kept = 0;
-  for (const WorkerState& ws : states) total_kept += ws.kept.size();
-  result.oids.reserve(total_kept);
-  for (WorkerState& ws : states) {
-    result.oids.insert(result.oids.end(), ws.kept.begin(), ws.kept.end());
-    result.num_false_drops += ws.false_drops;
-  }
-  if (trace != nullptr) {
-    const IoStats delta = store.stats() - before;
-    TraceSpan* span = trace->AddStage("resolution");
-    span->page_reads = delta.reads();
-    span->page_writes = delta.writes();
-    span->wall_ms = timer.ElapsedMs();
-    span->candidates = static_cast<int64_t>(result.num_candidates);
-    span->false_drops = static_cast<int64_t>(result.num_false_drops);
-    // One timed child per worker (the trace-event exporter renders these as
-    // parallel tracks).  Children subdivide the parent: their page deltas
-    // sum to the span's, since each worker resolved a disjoint range.
-    for (size_t w = 0; w < states.size(); ++w) {
-      TraceSpan child;
-      child.name = "worker " + std::to_string(w);
-      child.page_reads = states[w].io.reads();
-      child.page_writes = states[w].io.writes();
-      child.pages_skipped = states[w].io.skips();
-      child.pages_cow = states[w].io.cows();
-      child.pages_hot = states[w].io.hots();
-      child.wall_ms = states[w].wall_ms;
-      child.candidates = static_cast<int64_t>(states[w].processed);
-      child.false_drops = static_cast<int64_t>(states[w].false_drops);
-      span->children.push_back(std::move(child));
+  std::vector<Worker> states(workers);
+  const SetPredicate& driving = preds[driver];
+  const size_t driver_attr = attrs[driver];
+  auto resolve = [&](size_t w, size_t begin, size_t end) {
+    Worker& ws = states[w];
+    TraceTimer timer(trace != nullptr);
+    IoStats* io = workers > 1 ? &ws.io : &store.stats();
+    ws.processed = end - begin;
+    MultiSetObject obj;  // reused: one fetch per candidate, no allocation
+    for (size_t i = begin; i < end; ++i) {
+      const Oid oid = candidates.oids[i];
+      Status got = store.GetInto(oid, &obj, io);
+      if (!got.ok()) {
+        // A candidate with no stored object is a false drop, not an error
+        // — even for exact candidate sets: crash recovery rolls the
+        // indexes back to a checkpoint that can still reference objects
+        // whose store delete already committed.
+        if (got.code() == StatusCode::kNotFound) {
+          ++ws.false_drops;
+          continue;
+        }
+        ws.status = std::move(got);
+        return;
+      }
+      bool keep =
+          Satisfies(obj.attrs[driver_attr], driving.kind, driving.query);
+      if (!keep && candidates.exact) {
+        ws.status = Status::Internal(
+            "facility reported exact candidates but " + oid.ToString() +
+            " fails the predicate");
+        return;
+      }
+      for (size_t p = 0; keep && p < preds.size(); ++p) {
+        keep = p == driver ||
+               Satisfies(obj.attrs[attrs[p]], preds[p].kind, preds[p].query);
+      }
+      if (keep) {
+        ws.kept.push_back(oid);
+      } else {
+        ++ws.false_drops;
+      }
     }
+    ws.wall_ms = timer.ElapsedMs();
+  };
+  const IoStats before = store.stats();
+  TraceTimer timer(trace != nullptr);
+  if (workers > 1) {
+    ctx->pool->ParallelFor(n, workers, resolve);
+    // Merge stats before checking statuses so accounting stays exact even
+    // when a worker failed.
+    std::vector<Status> statuses;
+    for (const Worker& ws : states) {
+      store.stats() += ws.io;
+      statuses.push_back(ws.status);
+    }
+    SIGSET_RETURN_IF_ERROR(MergeWorkerStatuses(statuses));
+  } else {
+    resolve(0, 0, n);
+    SIGSET_RETURN_IF_ERROR(states[0].status);
   }
-  return result;
+  QueryResult out;
+  out.num_candidates = n;
+  for (Worker& ws : states) {
+    if (out.oids.empty()) {
+      out.oids = std::move(ws.kept);
+    } else {
+      out.oids.insert(out.oids.end(), ws.kept.begin(), ws.kept.end());
+    }
+    out.num_false_drops += ws.false_drops;
+  }
+  if (trace == nullptr) return out;
+  const IoStats delta = store.stats() - before;
+  TraceSpan* span = trace->AddStage("resolution");
+  span->page_reads = delta.reads();
+  span->page_writes = delta.writes();
+  span->wall_ms = timer.ElapsedMs();
+  span->candidates = static_cast<int64_t>(n);
+  span->false_drops = static_cast<int64_t>(out.num_false_drops);
+  // One timed child per worker (the trace-event exporter renders these as
+  // parallel tracks, making resolve skew visible); their page deltas sum to
+  // the span's, since each worker resolved a disjoint range.
+  for (size_t w = 0; workers > 1 && w < states.size(); ++w) {
+    TraceSpan child;
+    child.name = "worker " + std::to_string(w);
+    child.page_reads = states[w].io.reads();
+    child.page_writes = states[w].io.writes();
+    child.pages_skipped = states[w].io.skips();
+    child.pages_cow = states[w].io.cows();
+    child.pages_hot = states[w].io.hots();
+    child.wall_ms = states[w].wall_ms;
+    child.candidates = static_cast<int64_t>(states[w].processed);
+    child.false_drops = static_cast<int64_t>(states[w].false_drops);
+    span->children.push_back(std::move(child));
+  }
+  return out;
 }
 
 StatusOr<QueryResult> ExecuteSetQuery(SetAccessFacility* facility,
-                                      const ObjectStore& store,
+                                      const MultiObjectStore& store,
                                       QueryKind kind, const ElementSet& query,
+                                      size_t param,
                                       const ParallelExecutionContext* ctx,
                                       QueryTrace* trace) {
-  FileSnapshots before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = facility->StageStats();
-  // Proper inclusion (⊋/⊊, paper §1's second sample query) reuses the
-  // non-strict candidate sets; the strictness check happens at resolution,
-  // where the stored cardinality is known.
   SIGSET_ASSIGN_OR_RETURN(
       CandidateResult candidates,
-      facility->Candidates(CandidateKind(kind), query, ctx));
-  if (kind != CandidateKind(kind)) candidates.exact = false;
-  if (trace != nullptr) {
-    AddCandidateStage(trace, before, facility->StageStats(),
-                      timer.ElapsedMs(), candidates.oids.size());
-  }
-  return ResolveCandidates(candidates, store, kind, query, ctx, trace);
-}
-
-StatusOr<QueryResult> ExecuteSmartSupersetBssf(
-    BitSlicedSignatureFile* bssf, const ObjectStore& store,
-    const ElementSet& query, size_t use_elements, QueryKind kind,
-    const ParallelExecutionContext* ctx, QueryTrace* trace) {
-  if (CandidateKind(kind) != QueryKind::kSuperset) {
-    return Status::InvalidArgument("kind must be a superset variant");
-  }
-  FileSnapshots before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = bssf->StageStats();
-  BitVector query_sig =
-      MakePartialQuerySignature(query, use_elements, bssf->config());
-  SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
-                          bssf->SupersetCandidateSlots(query_sig, ctx));
-  CandidateResult candidates;
-  SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf->ResolveSlots(slots));
-  if (trace != nullptr) {
-    AddCandidateStage(trace, before, bssf->StageStats(), timer.ElapsedMs(),
-                      candidates.oids.size());
-  }
-  return ResolveCandidates(candidates, store, kind, query, ctx, trace);
-}
-
-StatusOr<QueryResult> ExecuteSmartSubsetBssf(
-    BitSlicedSignatureFile* bssf, const ObjectStore& store,
-    const ElementSet& query, size_t max_slices, QueryKind kind,
-    const ParallelExecutionContext* ctx, QueryTrace* trace) {
-  if (CandidateKind(kind) != QueryKind::kSubset) {
-    return Status::InvalidArgument("kind must be a subset variant");
-  }
-  FileSnapshots before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = bssf->StageStats();
-  BitVector query_sig = MakeSetSignature(query, bssf->config());
-  SIGSET_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> slots,
-      bssf->SubsetCandidateSlots(query_sig, max_slices, ctx));
-  CandidateResult candidates;
-  SIGSET_ASSIGN_OR_RETURN(candidates.oids, bssf->ResolveSlots(slots));
-  if (trace != nullptr) {
-    AddCandidateStage(trace, before, bssf->StageStats(), timer.ElapsedMs(),
-                      candidates.oids.size());
-  }
-  return ResolveCandidates(candidates, store, kind, query, ctx, trace);
-}
-
-StatusOr<QueryResult> ExecuteSmartSupersetNix(
-    NestedIndex* nix, const ObjectStore& store, const ElementSet& query,
-    size_t use_elements, QueryKind kind,
-    const ParallelExecutionContext* ctx, QueryTrace* trace) {
-  if (CandidateKind(kind) != QueryKind::kSuperset) {
-    return Status::InvalidArgument("kind must be a superset variant");
-  }
-  FileSnapshots before;
-  TraceTimer timer(trace != nullptr);
-  if (trace != nullptr) before = nix->StageStats();
-  SIGSET_ASSIGN_OR_RETURN(CandidateResult candidates,
-                          nix->CandidatesSmartSuperset(query, use_elements));
-  if (kind != QueryKind::kSuperset) candidates.exact = false;
-  if (trace != nullptr) {
-    AddCandidateStage(trace, before, nix->StageStats(), timer.ElapsedMs(),
-                      candidates.oids.size());
-  }
-  return ResolveCandidates(candidates, store, kind, query, ctx, trace);
+      SelectCandidates(facility, kind, query, param, ctx, trace));
+  const SetPredicate pred{"", kind, query};
+  const size_t attr = 0;
+  return ResolveCandidates(candidates, store, {&pred, 1}, {&attr, 1},
+                           /*driver=*/0, ctx, trace);
 }
 
 }  // namespace sigsetdb

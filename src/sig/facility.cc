@@ -31,4 +31,23 @@ QueryKind CandidateKind(QueryKind kind) {
   }
 }
 
+bool Satisfies(const ElementSet& value, QueryKind kind,
+               const ElementSet& query) {
+  switch (kind) {
+    case QueryKind::kSuperset:
+      return IsSubset(query, value);
+    case QueryKind::kSubset:
+      return IsSubset(value, query);
+    case QueryKind::kProperSuperset:
+      return value.size() > query.size() && IsSubset(query, value);
+    case QueryKind::kProperSubset:
+      return value.size() < query.size() && IsSubset(value, query);
+    case QueryKind::kEquals:
+      return value == query;
+    case QueryKind::kOverlaps:
+      return Overlaps(value, query);
+  }
+  return false;
+}
+
 }  // namespace sigsetdb

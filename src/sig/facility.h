@@ -3,8 +3,8 @@
 //
 // A facility maps a set-predicate query to a *candidate* OID list.  When
 // `exact` is false the list may contain false drops and the caller must run
-// false-drop resolution (fetch each object and re-check the predicate) —
-// query/executor.h implements that step.
+// false-drop resolution (fetch each object and re-check the predicate with
+// Satisfies) — ResolveCandidates in query/executor.h implements that step.
 
 #ifndef SIGSET_SIG_FACILITY_H_
 #define SIGSET_SIG_FACILITY_H_
@@ -37,6 +37,11 @@ enum class QueryKind {
 // The non-strict predicate whose candidates are a superset of `kind`'s
 // (proper variants filter during resolution; others are themselves).
 QueryKind CandidateKind(QueryKind kind);
+
+// Does a stored set `value` satisfy `kind` against `query`?  Both must be
+// normalized.
+bool Satisfies(const ElementSet& value, QueryKind kind,
+               const ElementSet& query);
 
 const char* QueryKindName(QueryKind kind);
 

@@ -39,6 +39,7 @@
 #include "db/write_batch.h"
 #include "json_validate.h"
 #include "obj/object.h"
+#include "oracle.h"
 #include "storage/fault_injecting_page_file.h"
 #include "storage/storage_manager.h"
 #include "util/rng.h"
@@ -69,18 +70,6 @@ uint64_t MixSeed(uint64_t base, const std::string& config, uint64_t workload) {
   h *= 0x94D049BB133111EBull;
   h ^= h >> 31;
   return h;
-}
-
-bool Matches(QueryKind kind, const ElementSet& set, const ElementSet& query) {
-  StoredObject obj{Oid(), set};
-  switch (kind) {
-    case QueryKind::kSuperset:
-      return SatisfiesSuperset(obj, query);
-    case QueryKind::kSubset:
-      return SatisfiesSubset(obj, query);
-    default:
-      return SatisfiesEquals(obj, query);
-  }
 }
 
 // Mirrors the db layer's fatality rule: these are the statuses that must
@@ -318,7 +307,7 @@ class CrashRecoveryTest : public ::testing::Test {
             NormalizeSet(&query);
             std::vector<uint64_t> want;
             for (const auto& [ordinal, set] : live) {
-              if (Matches(step.qkind, set, query)) {
+              if (OracleMatches(set, step.qkind, query)) {
                 want.push_back(out.oids[ordinal].value());
               }
             }
@@ -468,13 +457,13 @@ class CrashRecoveryTest : public ::testing::Test {
           std::set<uint64_t> lower;
           std::set<uint64_t> upper;
           for (size_t ordinal : out.ckpt_live) {
-            if (!Matches(kind, insert_sets[ordinal], query)) continue;
+            if (!OracleMatches(insert_sets[ordinal], kind, query)) continue;
             uint64_t oid = clean_oids[ordinal].value();
             if (deletes_attempted.count(ordinal) == 0) lower.insert(oid);
             if (deletes_executed.count(ordinal) == 0) upper.insert(oid);
           }
           for (size_t ordinal : inserts_attempted) {
-            if (Matches(kind, insert_sets[ordinal], query)) {
+            if (OracleMatches(insert_sets[ordinal], kind, query)) {
               upper.insert(clean_oids[ordinal].value());
             }
           }
@@ -710,7 +699,7 @@ TEST_F(CrashRecoveryTest, DatabaseEveryIoIndex) {
     std::set<uint64_t> got;
     for (Oid oid : result->oids) got.insert(oid.value());
     for (size_t i : out.ckpt_live) {
-      if (!Matches(QueryKind::kSuperset, values[i][0], probe)) continue;
+      if (!OracleMatches(values[i][0], QueryKind::kSuperset, probe)) continue;
       uint64_t oid = clean_oids[i].value();
       bool deletable = (i == 1) && out.delete_attempted;
       bool deleted = (i == 1) && out.delete_executed;
@@ -732,7 +721,7 @@ TEST_F(CrashRecoveryTest, DatabaseEveryIoIndex) {
         bool post_insert = out.post_inserts.count(i) != 0;
         bool was_deleted = (i == 1) && out.delete_executed;
         possible = (in_ckpt || post_insert) && !was_deleted &&
-                   Matches(QueryKind::kSuperset, values[i][0], probe);
+                   OracleMatches(values[i][0], QueryKind::kSuperset, probe);
       }
       EXPECT_TRUE(possible)
           << "recovered database returned impossible object " << oid;
@@ -1002,7 +991,9 @@ class WalCrashMatrixTest : public ::testing::Test {
         std::sort(got.begin(), got.end());
         std::vector<uint64_t> want;
         for (const auto& [o, set] : recovered_live) {
-          if (Matches(kind, set, query)) want.push_back(oid_of(o).value());
+          if (OracleMatches(set, kind, query)) {
+            want.push_back(oid_of(o).value());
+          }
         }
         std::sort(want.begin(), want.end());
         EXPECT_EQ(got, want) << "recovered facility diverged from brute force";
@@ -1372,7 +1363,7 @@ class WalDatabaseMatrixTest : public WalCrashMatrixTest {
         for (const auto& [o, attrs] : recovered_live) {
           bool all = true;
           for (const auto& [attr, query] : probe.checks) {
-            if (!Matches(QueryKind::kSuperset, attrs[attr], query)) {
+            if (!OracleMatches(attrs[attr], QueryKind::kSuperset, query)) {
               all = false;
             }
           }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "db/snapshot.h"
+#include "oracle.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -57,28 +58,7 @@ class DatabaseTest : public ::testing::Test {
         size_t attr = p.attribute == "courses" ? 0 : 1;
         ElementSet query = p.query;
         NormalizeSet(&query);
-        StoredObject probe{oids_[i], values_[i][attr]};
-        bool hit = false;
-        switch (p.kind) {
-          case QueryKind::kSuperset:
-            hit = SatisfiesSuperset(probe, query);
-            break;
-          case QueryKind::kSubset:
-            hit = SatisfiesSubset(probe, query);
-            break;
-          case QueryKind::kProperSuperset:
-            hit = SatisfiesProperSuperset(probe, query);
-            break;
-          case QueryKind::kProperSubset:
-            hit = SatisfiesProperSubset(probe, query);
-            break;
-          case QueryKind::kEquals:
-            hit = SatisfiesEquals(probe, query);
-            break;
-          case QueryKind::kOverlaps:
-            hit = SatisfiesOverlap(probe, query);
-            break;
-        }
+        const bool hit = OracleMatches(values_[i][attr], p.kind, query);
         if (!hit) {
           ok = false;
           break;

@@ -10,6 +10,7 @@
 
 #include "db/set_index.h"
 #include "db/write_batch.h"
+#include "oracle.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -29,26 +30,6 @@ SetIndex::Options AllFacilities(size_t num_threads) {
   options.domain_estimate = static_cast<int64_t>(kDomain);
   options.num_threads = num_threads;
   return options;
-}
-
-bool Hits(const ElementSet& value, QueryKind kind, const ElementSet& query) {
-  StoredObject probe;
-  probe.set_value = value;
-  switch (kind) {
-    case QueryKind::kSuperset:
-      return SatisfiesSuperset(probe, query);
-    case QueryKind::kSubset:
-      return SatisfiesSubset(probe, query);
-    case QueryKind::kProperSuperset:
-      return SatisfiesProperSuperset(probe, query);
-    case QueryKind::kProperSubset:
-      return SatisfiesProperSubset(probe, query);
-    case QueryKind::kEquals:
-      return SatisfiesEquals(probe, query);
-    case QueryKind::kOverlaps:
-      return SatisfiesOverlap(probe, query);
-  }
-  return false;
 }
 
 constexpr QueryKind kAllKinds[] = {
@@ -94,7 +75,7 @@ class DeleteQueryTest : public ::testing::TestWithParam<size_t> {
   std::vector<Oid> Oracle(QueryKind kind, const ElementSet& query) const {
     std::vector<Oid> out;
     for (const auto& [oid, set] : live_) {
-      if (Hits(set, kind, query)) out.push_back(oid);
+      if (OracleMatches(set, kind, query)) out.push_back(oid);
     }
     std::sort(out.begin(), out.end());
     return out;

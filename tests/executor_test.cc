@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_db.h"
+#include "util/thread_pool.h"
 
 namespace sigsetdb {
 namespace {
@@ -112,24 +113,16 @@ TEST_F(ExecutorTest, SmartExecutorsSupportProperKinds) {
   ElementSet query = MakeHittingSupersetQuery(target, 3, rng);
   std::vector<Oid> expected =
       db_.BruteForce(QueryKind::kProperSuperset, query);
-  auto bssf = ExecuteSmartSupersetBssf(&db_.bssf(), db_.store(), query, 2,
-                                       QueryKind::kProperSuperset);
-  ASSERT_TRUE(bssf.ok());
-  std::vector<Oid> got = bssf->oids;
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
-  auto nix = ExecuteSmartSupersetNix(&db_.nix(), db_.store(), query, 2,
-                                     QueryKind::kProperSuperset);
-  ASSERT_TRUE(nix.ok());
-  got = nix->oids;
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
-  // Wrong kind is rejected.
-  EXPECT_EQ(ExecuteSmartSupersetBssf(&db_.bssf(), db_.store(), query, 2,
-                                     QueryKind::kSubset)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  for (SetAccessFacility* facility :
+       {static_cast<SetAccessFacility*>(&db_.bssf()),
+        static_cast<SetAccessFacility*>(&db_.nix())}) {
+    auto result = ExecuteSetQuery(facility, db_.store(),
+                                  QueryKind::kProperSuperset, query, 2);
+    ASSERT_TRUE(result.ok()) << facility->name();
+    std::vector<Oid> got = result->oids;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << facility->name();
+  }
 }
 
 TEST_F(ExecutorTest, FalseDropAccountingConsistent) {
@@ -150,8 +143,8 @@ TEST_F(ExecutorTest, SmartSupersetBssfMatchesPlainResults) {
     ElementSet query = MakeHittingSupersetQuery(target, 4, rng);
     std::vector<Oid> expected = db_.BruteForce(QueryKind::kSuperset, query);
     for (size_t k : {1u, 2u, 3u, 4u}) {
-      auto result =
-          ExecuteSmartSupersetBssf(&db_.bssf(), db_.store(), query, k);
+      auto result = ExecuteSetQuery(&db_.bssf(), db_.store(),
+                                    QueryKind::kSuperset, query, k);
       ASSERT_TRUE(result.ok());
       std::vector<Oid> got = result->oids;
       std::sort(got.begin(), got.end());
@@ -166,8 +159,8 @@ TEST_F(ExecutorTest, SmartSubsetBssfMatchesPlainResults) {
   ElementSet query = MakeHittingSubsetQuery(target, db_.options().v, 50, rng);
   std::vector<Oid> expected = db_.BruteForce(QueryKind::kSubset, query);
   for (size_t max_slices : {5u, 20u, 100u, 10000u}) {
-    auto result =
-        ExecuteSmartSubsetBssf(&db_.bssf(), db_.store(), query, max_slices);
+    auto result = ExecuteSetQuery(&db_.bssf(), db_.store(),
+                                  QueryKind::kSubset, query, max_slices);
     ASSERT_TRUE(result.ok());
     std::vector<Oid> got = result->oids;
     std::sort(got.begin(), got.end());
@@ -179,8 +172,10 @@ TEST_F(ExecutorTest, SmartSubsetFewerSlicesMoreFalseDrops) {
   Rng rng(7);
   ElementSet query = rng.SampleWithoutReplacement(
       static_cast<uint64_t>(db_.options().v), 60);
-  auto few = ExecuteSmartSubsetBssf(&db_.bssf(), db_.store(), query, 3);
-  auto many = ExecuteSmartSubsetBssf(&db_.bssf(), db_.store(), query, 10000);
+  auto few = ExecuteSetQuery(&db_.bssf(), db_.store(), QueryKind::kSubset,
+                             query, 3);
+  auto many = ExecuteSetQuery(&db_.bssf(), db_.store(), QueryKind::kSubset,
+                              query, 10000);
   ASSERT_TRUE(few.ok());
   ASSERT_TRUE(many.ok());
   EXPECT_GE(few->num_candidates, many->num_candidates);
@@ -194,13 +189,26 @@ TEST_F(ExecutorTest, SmartSupersetNixMatchesPlainResults) {
     ElementSet query = MakeHittingSupersetQuery(target, 4, rng);
     std::vector<Oid> expected = db_.BruteForce(QueryKind::kSuperset, query);
     for (size_t k : {1u, 2u, 4u}) {
-      auto result = ExecuteSmartSupersetNix(&db_.nix(), db_.store(), query, k);
+      auto result = ExecuteSetQuery(&db_.nix(), db_.store(),
+                                    QueryKind::kSuperset, query, k);
       ASSERT_TRUE(result.ok());
       std::vector<Oid> got = result->oids;
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expected) << "k=" << k;
     }
   }
+}
+
+// Resolution of a hand-built candidate list for (kind, query) on attribute
+// 0, serially (null context) or over `ctx`.
+StatusOr<QueryResult> Resolve(TestDatabase& db,
+                              const CandidateResult& candidates,
+                              QueryKind kind, const ElementSet& query,
+                              const ParallelExecutionContext* ctx) {
+  const SetPredicate pred{"", kind, query};
+  const size_t attr = 0;
+  return ResolveCandidates(candidates, db.store(), {&pred, 1}, {&attr, 1}, 0,
+                           ctx, nullptr);
 }
 
 TEST_F(ExecutorTest, ResolutionFetchesOnePagePerCandidate) {
@@ -213,9 +221,69 @@ TEST_F(ExecutorTest, ResolutionFetchesOnePagePerCandidate) {
   ASSERT_TRUE(object_file.ok());
   (*object_file)->stats().Reset();
   auto result =
-      ResolveCandidates(*candidates, db_.store(), QueryKind::kSuperset, query);
+      Resolve(db_, *candidates, QueryKind::kSuperset, query, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*object_file)->stats().page_reads, candidates->oids.size());
+}
+
+// A candidate whose object was deleted counts as a false drop, never an
+// error — also when the facility promised exact candidates, since crash
+// recovery can leave index entries for objects already deleted.
+TEST_F(ExecutorTest, DeletedCandidateIsAFalseDrop) {
+  const ElementSet query = {db_.sets()[0][0]};
+  std::vector<Oid> live = db_.BruteForce(QueryKind::kSuperset, query);
+  ASSERT_GE(live.size(), 3u);
+  const Oid gone0 = live[0];
+  const Oid gone1 = live[2];
+  ASSERT_TRUE(db_.store().Delete(gone0).ok());
+  ASSERT_TRUE(db_.store().Delete(gone1).ok());
+  CandidateResult candidates;
+  candidates.oids = live;
+  std::vector<Oid> want;
+  for (Oid oid : live) {
+    if (oid != gone0 && oid != gone1) want.push_back(oid);
+  }
+  ThreadPool pool(4);
+  const ParallelExecutionContext four{&pool};
+  for (const ParallelExecutionContext* ctx : {
+           static_cast<const ParallelExecutionContext*>(nullptr), &four}) {
+    for (bool exact : {false, true}) {
+      candidates.exact = exact;
+      auto result =
+          Resolve(db_, candidates, QueryKind::kSuperset, query, ctx);
+      ASSERT_TRUE(result.ok())
+          << result.status().ToString() << " exact=" << exact;
+      EXPECT_EQ(result->oids, want) << "exact=" << exact;
+      EXPECT_EQ(result->num_candidates, live.size());
+      EXPECT_EQ(result->num_false_drops, 2u) << "exact=" << exact;
+    }
+  }
+}
+
+// An exact candidate that fails the predicate breaks the facility's
+// promise: resolution reports kInternal instead of dropping it quietly.
+TEST_F(ExecutorTest, ExactCandidateFailingPredicateIsInternal) {
+  const ElementSet query = {db_.sets()[0][0]};
+  std::vector<Oid> live = db_.BruteForce(QueryKind::kSuperset, query);
+  ASSERT_FALSE(live.empty());
+  CandidateResult candidates;
+  candidates.exact = true;
+  candidates.oids = live;
+  for (Oid oid : db_.oids()) {
+    if (std::find(live.begin(), live.end(), oid) == live.end()) {
+      candidates.oids.push_back(oid);  // fails T ⊇ Q
+      break;
+    }
+  }
+  ASSERT_EQ(candidates.oids.size(), live.size() + 1);
+  ThreadPool pool(4);
+  const ParallelExecutionContext four{&pool};
+  for (const ParallelExecutionContext* ctx : {
+           static_cast<const ParallelExecutionContext*>(nullptr), &four}) {
+    auto result = Resolve(db_, candidates, QueryKind::kSuperset, query, ctx);
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+        << (ctx == nullptr ? "serial" : "4 threads");
+  }
 }
 
 }  // namespace

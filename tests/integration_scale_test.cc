@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nix/nested_index.h"
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
 #include "query/executor.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
@@ -27,10 +27,10 @@ TEST(MultiPageSliceTest, QueriesCorrectAcrossPageBoundary) {
                          CardinalitySpec::Fixed(6), SkewKind::kUniform, 0.99,
                          21};
   auto sets = MakeDatabase(wconfig);
-  ObjectStore store(storage.CreateOrOpen("objects"));
+  MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   std::vector<Oid> oids;
   for (const auto& set : sets) {
-    oids.push_back(store.Insert(set).value());
+    oids.push_back(store.Insert({set}).value());
   }
   auto bssf = BitSlicedSignatureFile::Create(
       {250, 2}, 40000, storage.CreateOrOpen("slices"),
@@ -73,10 +73,10 @@ TEST(ZipfOverflowIntegrationTest, NixWithOverflowChainsMatchesBruteForce) {
   WorkloadConfig wconfig{kN, 300, CardinalitySpec{3, 9}, SkewKind::kZipf,
                          1.0, 22};
   auto sets = MakeDatabase(wconfig);
-  ObjectStore store(storage.CreateOrOpen("objects"));
+  MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   std::vector<Oid> oids;
   for (const auto& set : sets) {
-    oids.push_back(store.Insert(set).value());
+    oids.push_back(store.Insert({set}).value());
   }
   auto nix = NestedIndex::Create(storage.CreateOrOpen("nix"));
   ASSERT_TRUE(nix.ok());
@@ -137,9 +137,9 @@ TEST(SsfBssfLargeScaleAgreement, TenThousandObjects) {
                          CardinalitySpec::Fixed(12), SkewKind::kUniform,
                          0.99, 24};
   auto sets = MakeDatabase(wconfig);
-  ObjectStore store(storage.CreateOrOpen("objects"));
+  MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   std::vector<Oid> oids;
-  for (const auto& set : sets) oids.push_back(store.Insert(set).value());
+  for (const auto& set : sets) oids.push_back(store.Insert({set}).value());
   auto ssf = SequentialSignatureFile::Create(
       {500, 3}, storage.CreateOrOpen("ssf.sig"),
       storage.CreateOrOpen("ssf.oid"));

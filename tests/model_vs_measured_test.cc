@@ -73,7 +73,7 @@ class ModelVsMeasuredTest : public ::testing::Test {
 
       db_.storage().ResetStats();
       auto parallel =
-          ExecuteSetQuery(facility, db_.store(), kind, query, &ctx_);
+          ExecuteSetQuery(facility, db_.store(), kind, query, 0, &ctx_);
       ASSERT_TRUE(parallel.ok());
       uint64_t parallel_delta = db_.storage().TotalStats().total();
       parallel_total += parallel_delta;

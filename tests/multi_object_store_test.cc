@@ -1,10 +1,10 @@
 #include "obj/multi_object_store.h"
 
-#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obj/object_store.h"
+#include "storage/slotted_page.h"
 #include "util/rng.h"
 
 namespace sigsetdb {
@@ -51,6 +51,7 @@ TEST(MultiObjectStoreTest, GetCostsOnePageRead) {
   file.stats().Reset();
   ASSERT_TRUE(store.Get(*oid).ok());
   EXPECT_EQ(file.stats().page_reads, 1u);
+  EXPECT_EQ(file.stats().page_writes, 0u);
 }
 
 TEST(MultiObjectStoreTest, DeleteThenGetFails) {
@@ -115,44 +116,30 @@ TEST(MultiObjectStoreTest, RecoverCountRestoresStatistics) {
   EXPECT_EQ(obj->attrs[0], ElementSet{99});
 }
 
-// Records carry no attribute count (it is fixed per store), so a
-// one-attribute record is ObjectStore's [count:u32][elem:u64]* byte for
-// byte: the same sets, empty ones included, land on the same OIDs and the
-// two files hold identical pages.
-TEST(MultiObjectStoreTest, OneAttributeRecordsMatchObjectStoreBytes) {
-  InMemoryPageFile multi_file("multi");
-  InMemoryPageFile single_file("single");
-  MultiObjectStore multi(&multi_file, 1);
-  ObjectStore single(&single_file);
-  Rng rng(11);
-  std::vector<Oid> oids;
-  for (int i = 0; i < 700; ++i) {
-    const ElementSet set =
-        i % 7 == 0 ? ElementSet{}
-                   : rng.SampleWithoutReplacement(1000, 1 + rng.NextBelow(40));
-    auto a = multi.Insert({set});
-    auto b = single.Insert(set);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "object " << i;
-    oids.push_back(*a);
-  }
-  for (size_t i = 0; i < oids.size(); i += 5) {
-    ASSERT_TRUE(multi.Delete(oids[i]).ok());
-    ASSERT_TRUE(single.Delete(oids[i]).ok());
-  }
-  ASSERT_GT(multi_file.num_pages(), 5u);
-  ASSERT_EQ(multi_file.num_pages(), single_file.num_pages());
-  for (PageId p = 0; p < multi_file.num_pages(); ++p) {
-    Page a, b;
-    ASSERT_TRUE(multi_file.Read(p, &a).ok());
-    ASSERT_TRUE(single_file.Read(p, &b).ok());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), kPageSize), 0) << "page " << p;
-  }
-  // Each store reads the other's records.
-  auto via_single = single.Get(oids[1]);
-  auto via_multi = multi.Get(oids[1]);
-  ASSERT_TRUE(via_single.ok() && via_multi.ok());
-  EXPECT_EQ(via_single->set_value, via_multi->attrs[0]);
+// A one-attribute record is [count:u32][elem:u64]*, little-endian, with no
+// attribute count (it is fixed per store): the paper's object-file record.
+TEST(MultiObjectStoreTest, OneAttributeRecordLayout) {
+  InMemoryPageFile file("obj");
+  MultiObjectStore store(&file, 1);
+  auto full = store.Insert({{1, 0x0102030405060708ULL}});
+  auto empty = store.Insert({{}});
+  ASSERT_TRUE(full.ok() && empty.ok());
+  Page page;
+  ASSERT_TRUE(file.Read(0, &page).ok());
+  SlottedPage sp(&page);
+  uint16_t len = 0;
+  const uint8_t* rec = sp.Get(full->slot(), &len);
+  ASSERT_NE(rec, nullptr);
+  const std::vector<uint8_t> want = {
+      0x02, 0x00, 0x00, 0x00,                          // count = 2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // 0x0102030405060708
+  };
+  EXPECT_EQ(std::vector<uint8_t>(rec, rec + len), want);
+  rec = sp.Get(empty->slot(), &len);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(std::vector<uint8_t>(rec, rec + len),
+            (std::vector<uint8_t>{0x00, 0x00, 0x00, 0x00}));
 }
 
 // Without a stored count, the exact record length is what rejects a record

@@ -114,7 +114,7 @@ class ParallelExecutorTest : public ::testing::Test {
       ExpectDifferentialMatch(
           [&](const ParallelExecutionContext* ctx) {
             return ExecuteSetQuery(&db_->bssf(), db_->store(), kind, query,
-                                   ctx);
+                                   0, ctx);
           },
           label);
       if (HasFatalFailure() || HasNonfatalFailure()) {
@@ -161,8 +161,8 @@ TEST_F(ParallelExecutorTest, SmartSupersetBssfDifferential) {
     size_t k = 1 + rng.NextBelow(4);
     ExpectDifferentialMatch(
         [&](const ParallelExecutionContext* ctx) {
-          return ExecuteSmartSupersetBssf(&db_->bssf(), db_->store(), query,
-                                          k, QueryKind::kSuperset, ctx);
+          return ExecuteSetQuery(&db_->bssf(), db_->store(),
+                                 QueryKind::kSuperset, query, k, ctx);
         },
         "smart-superset k=" + std::to_string(k) + " case " +
             std::to_string(c));
@@ -179,8 +179,8 @@ TEST_F(ParallelExecutorTest, SmartSubsetBssfDifferential) {
     size_t max_slices = slice_caps[rng.NextBelow(4)];
     ExpectDifferentialMatch(
         [&](const ParallelExecutionContext* ctx) {
-          return ExecuteSmartSubsetBssf(&db_->bssf(), db_->store(), query,
-                                        max_slices, QueryKind::kSubset, ctx);
+          return ExecuteSetQuery(&db_->bssf(), db_->store(),
+                                 QueryKind::kSubset, query, max_slices, ctx);
         },
         "smart-subset s=" + std::to_string(max_slices) + " case " +
             std::to_string(c));
@@ -199,7 +199,7 @@ TEST_F(ParallelExecutorTest, ParallelResultsMatchBruteForce) {
       ElementSet query = QueryForKind(kind, rng);
       std::vector<Oid> expected = db_->BruteForce(kind, query);
       auto result =
-          ExecuteSetQuery(&db_->bssf(), db_->store(), kind, query, &ctx);
+          ExecuteSetQuery(&db_->bssf(), db_->store(), kind, query, 0, &ctx);
       ASSERT_TRUE(result.ok());
       std::vector<Oid> got = result->oids;
       std::sort(got.begin(), got.end());
@@ -215,7 +215,7 @@ TEST_F(ParallelExecutorTest, MaxWorkersCapRespectedAndEquivalent) {
   Measured serial = Measure(
       [&](const ParallelExecutionContext* ctx) {
         return ExecuteSetQuery(&db_->bssf(), db_->store(),
-                               QueryKind::kSuperset, query, ctx);
+                               QueryKind::kSuperset, query, 0, ctx);
       },
       nullptr, "serial");
   ParallelExecutionContext ctx;
@@ -226,7 +226,7 @@ TEST_F(ParallelExecutorTest, MaxWorkersCapRespectedAndEquivalent) {
     Measured par = Measure(
         [&](const ParallelExecutionContext* c) {
           return ExecuteSetQuery(&db_->bssf(), db_->store(),
-                                 QueryKind::kSuperset, query, c);
+                                 QueryKind::kSuperset, query, 0, c);
         },
         &ctx, "cap=" + std::to_string(cap));
     EXPECT_EQ(par.result.oids, serial.result.oids);

@@ -86,7 +86,7 @@ TEST_F(QueryTraceTest, TraceSumsMatchIoStatsDelta) {
       db_.storage().ResetStats();
       QueryTrace trace;
       auto result =
-          ExecuteSetQuery(facility, db_.store(), kind, query, nullptr,
+          ExecuteSetQuery(facility, db_.store(), kind, query, 0, nullptr,
                           &trace);
       ASSERT_TRUE(result.ok()) << facility->name();
       IoStats delta = db_.storage().TotalStats();
@@ -140,7 +140,7 @@ TEST_F(QueryTraceTest, DisabledTracingIsBitForBitIdenticalSerial) {
       for (SetAccessFacility* facility : Facilities()) {
         db_.storage().ResetStats();
         QueryTrace trace;
-        ASSERT_TRUE(ExecuteSetQuery(facility, db_.store(), kind, query,
+        ASSERT_TRUE(ExecuteSetQuery(facility, db_.store(), kind, query, 0,
                                     nullptr, &trace)
                         .ok());
         IoStats delta = db_.storage().TotalStats();
@@ -169,7 +169,8 @@ TEST_F(QueryTraceTest, DisabledTracingIsBitForBitIdenticalFourThreads) {
                                                       : SubsetQuery(rng_a);
       db_.storage().ResetStats();
       ASSERT_TRUE(
-          ExecuteSetQuery(&db_.bssf(), db_.store(), kind, query, &ctx).ok());
+          ExecuteSetQuery(&db_.bssf(), db_.store(), kind, query, 0, &ctx)
+              .ok());
       IoStats delta = db_.storage().TotalStats();
       untraced.emplace_back(delta.reads(), delta.writes());
     }
@@ -179,8 +180,8 @@ TEST_F(QueryTraceTest, DisabledTracingIsBitForBitIdenticalFourThreads) {
                                                       : SubsetQuery(rng_b);
       db_.storage().ResetStats();
       QueryTrace trace;
-      ASSERT_TRUE(ExecuteSetQuery(&db_.bssf(), db_.store(), kind, query, &ctx,
-                                  &trace)
+      ASSERT_TRUE(ExecuteSetQuery(&db_.bssf(), db_.store(), kind, query, 0,
+                                  &ctx, &trace)
                       .ok());
       IoStats delta = db_.storage().TotalStats();
       EXPECT_EQ(delta.reads(), untraced[t].first) << "trial " << t;

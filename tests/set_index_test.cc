@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -39,12 +40,7 @@ class SetIndexTest : public ::testing::Test {
   std::vector<Oid> BruteForce(QueryKind kind, const ElementSet& query) {
     std::vector<Oid> out;
     for (size_t i = 0; i < sets_.size(); ++i) {
-      StoredObject obj{oids_[i], sets_[i]};
-      bool hit = kind == QueryKind::kSuperset ? SatisfiesSuperset(obj, query)
-                 : kind == QueryKind::kSubset ? SatisfiesSubset(obj, query)
-                 : kind == QueryKind::kEquals ? SatisfiesEquals(obj, query)
-                                              : SatisfiesOverlap(obj, query);
-      if (hit) out.push_back(oids_[i]);
+      if (OracleMatches(sets_[i], kind, query)) out.push_back(oids_[i]);
     }
     return out;
   }

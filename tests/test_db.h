@@ -1,6 +1,6 @@
 // Shared test fixture: a small synthetic database materialized through all
-// three access facilities plus the object store, mirroring the paper's
-// experimental setup at reduced scale.
+// three access facilities plus a one-attribute object store, mirroring the
+// paper's experimental setup at reduced scale.
 
 #ifndef SIGSET_TESTS_TEST_DB_H_
 #define SIGSET_TESTS_TEST_DB_H_
@@ -11,7 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "nix/nested_index.h"
-#include "obj/object_store.h"
+#include "obj/multi_object_store.h"
+#include "oracle.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
 #include "storage/storage_manager.h"
@@ -34,7 +35,8 @@ class TestDatabase {
   };
 
   explicit TestDatabase(const Options& options) : options_(options) {
-    store_ = std::make_unique<ObjectStore>(storage_.CreateOrOpen("objects"));
+    store_ = std::make_unique<MultiObjectStore>(
+        storage_.CreateOrOpen("objects"), 1);
     auto ssf = SequentialSignatureFile::Create(
         options.sig, storage_.CreateOrOpen("ssf.sig"),
         storage_.CreateOrOpen("ssf.oid"));
@@ -56,7 +58,7 @@ class TestDatabase {
                            SkewKind::kUniform, 0.99, options.seed};
     sets_ = MakeDatabase(wconfig);
     for (const auto& set : sets_) {
-      auto oid = store_->Insert(set);
+      auto oid = store_->Insert({set});
       EXPECT_TRUE(oid.ok());
       oids_.push_back(*oid);
       EXPECT_TRUE(ssf_->Insert(*oid, set).ok());
@@ -70,36 +72,14 @@ class TestDatabase {
   std::vector<Oid> BruteForce(QueryKind kind, const ElementSet& query) const {
     std::vector<Oid> out;
     for (size_t i = 0; i < sets_.size(); ++i) {
-      StoredObject obj{oids_[i], sets_[i]};
-      bool hit = false;
-      switch (kind) {
-        case QueryKind::kSuperset:
-          hit = SatisfiesSuperset(obj, query);
-          break;
-        case QueryKind::kSubset:
-          hit = SatisfiesSubset(obj, query);
-          break;
-        case QueryKind::kProperSuperset:
-          hit = SatisfiesProperSuperset(obj, query);
-          break;
-        case QueryKind::kProperSubset:
-          hit = SatisfiesProperSubset(obj, query);
-          break;
-        case QueryKind::kEquals:
-          hit = SatisfiesEquals(obj, query);
-          break;
-        case QueryKind::kOverlaps:
-          hit = SatisfiesOverlap(obj, query);
-          break;
-      }
-      if (hit) out.push_back(oids_[i]);
+      if (OracleMatches(sets_[i], kind, query)) out.push_back(oids_[i]);
     }
     return out;
   }
 
   const Options& options() const { return options_; }
   StorageManager& storage() { return storage_; }
-  ObjectStore& store() { return *store_; }
+  MultiObjectStore& store() { return *store_; }
   SequentialSignatureFile& ssf() { return *ssf_; }
   BitSlicedSignatureFile& bssf() { return *bssf_; }
   NestedIndex& nix() { return *nix_; }
@@ -109,7 +89,7 @@ class TestDatabase {
  private:
   Options options_;
   StorageManager storage_;
-  std::unique_ptr<ObjectStore> store_;
+  std::unique_ptr<MultiObjectStore> store_;
   std::unique_ptr<SequentialSignatureFile> ssf_;
   std::unique_ptr<BitSlicedSignatureFile> bssf_;
   std::unique_ptr<NestedIndex> nix_;

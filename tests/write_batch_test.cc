@@ -14,6 +14,7 @@
 #include "db/set_index.h"
 #include "db/synchronized_set_index.h"
 #include "model/cost_batch.h"
+#include "oracle.h"
 #include "sig/bssf.h"
 #include "sig/ssf.h"
 #include "util/rng.h"
@@ -390,9 +391,7 @@ TEST(WriteBatchTest, CompactRestoresModelStoragePrediction) {
     NormalizeSet(&query);
     size_t expected = 0;
     for (const ElementSet& set : live_sets) {
-      StoredObject probe;
-      probe.set_value = set;
-      if (SatisfiesSuperset(probe, query)) ++expected;
+      if (OracleMatches(set, QueryKind::kSuperset, query)) ++expected;
     }
     for (PlanMode mode :
          {PlanMode::kForceSsf, PlanMode::kForceBssf, PlanMode::kForceNix}) {
