@@ -8,7 +8,9 @@
 //    for the delete-flag scan;
 //  * BSSF is measured in both the paper's worst case (touch all F slices)
 //    and the sparse mode the paper anticipates in §6 (touch only the m_t
-//    one-bit slices).
+//    one-bit slices);
+//  * the BSSF and NIX deletes and the inserts into freed slots report
+//    both reads and writes.
 
 #include <cstdio>
 #include <iostream>
@@ -22,7 +24,9 @@
 namespace sigsetdb {
 namespace {
 
-// Measures the mean write/read cost of inserting `trials` fresh objects.
+// Measures the mean write/read cost of inserting `trials` new objects, whose
+// OIDs are (first_page + t, 0).  Into a facility with tombstoned slots, each
+// insert reuses one.
 struct MeasuredUpdate {
   double writes;
   double reads;
@@ -30,16 +34,40 @@ struct MeasuredUpdate {
 
 MeasuredUpdate MeasureInserts(StorageManager& storage,
                               SetAccessFacility* facility, int64_t v,
-                              int64_t dt, int trials, uint64_t seed) {
+                              int64_t dt, int trials, uint64_t seed,
+                              uint32_t first_page = 50000) {
   Rng rng(seed);
   uint64_t writes = 0, reads = 0;
   for (int t = 0; t < trials; ++t) {
     ElementSet set = rng.SampleWithoutReplacement(
         static_cast<uint64_t>(v), static_cast<uint64_t>(dt));
     storage.ResetStats();
-    CheckOk(facility->Insert(Oid::FromLocation(50000 + t, 0), set),
+    CheckOk(facility->Insert(Oid::FromLocation(first_page + t, 0), set),
             "insert");
     IoStats io = storage.TotalStats();
+    writes += io.page_writes;
+    reads += io.page_reads;
+  }
+  return {static_cast<double>(writes) / trials,
+          static_cast<double>(reads) / trials};
+}
+
+// Measures the mean write/read cost of deleting `trials` distinct random
+// objects of `bench` from `facility` (a victim drawn twice is redrawn).
+MeasuredUpdate MeasureDeletes(BenchDb& bench, SetAccessFacility* facility,
+                              int trials, uint64_t seed) {
+  Rng rng(seed);
+  uint64_t writes = 0, reads = 0;
+  for (int t = 0; t < trials; ++t) {
+    size_t victim = rng.NextBelow(bench.oids().size());
+    bench.storage().ResetStats();
+    Status status = facility->Remove(bench.oids()[victim],
+                                     bench.sets()[victim]);
+    if (!status.ok()) {
+      --t;
+      continue;
+    }
+    IoStats io = bench.storage().TotalStats();
     writes += io.page_writes;
     reads += io.page_reads;
   }
@@ -120,45 +148,68 @@ void Run() {
       "  NIX insert:         %.1f writes + %.1f traversal reads (model "
       "rc*Dt = 30)\n",
       nix_ins.writes, nix_ins.reads);
-  auto insert_cost = [](const MeasuredUpdate& u) {
+  auto update_cost = [](const MeasuredUpdate& u) {
     return MeasuredCost{.pages = u.writes + u.reads, .reads = u.reads,
                         .writes = u.writes, .wall_ms = -1};
   };
   EmitBenchRecord("ssf.insert", {{"dt", 10}, {"f", 250}, {"m", 2}},
-                  insert_cost(ssf_ins), SsfInsertCost());
+                  update_cost(ssf_ins), SsfInsertCost());
   EmitBenchRecord("bssf.insert.naive", {{"dt", 10}, {"f", 250}, {"m", 2}},
-                  insert_cost(naive_ins), BssfInsertCost({250, 2}));
+                  update_cost(naive_ins), BssfInsertCost({250, 2}));
   EmitBenchRecord("bssf.insert.sparse", {{"dt", 10}, {"f", 250}, {"m", 2}},
-                  insert_cost(sparse_ins),
+                  update_cost(sparse_ins),
                   BssfInsertCostSparse({250, 2}, 10));
   EmitBenchRecord("nix.insert", {{"dt", 10}},
-                  insert_cost(nix_ins), NixInsertCost(db, nix, 10));
+                  update_cost(nix_ins), NixInsertCost(db, nix, 10));
 
   // Delete-flag scan cost, averaged over random victims.
-  Rng rng(5);
-  double scan_reads = 0;
   const int kDeletes = 10;
-  for (int t = 0; t < kDeletes; ++t) {
-    size_t victim = rng.NextBelow(bench.oids().size());
-    bench.storage().ResetStats();
-    Status status =
-        bench.ssf().Remove(bench.oids()[victim], bench.sets()[victim]);
-    if (!status.ok()) {
-      --t;  // duplicate victim across trials; pick another
-      continue;
-    }
-    scan_reads += static_cast<double>(
-        bench.storage().TotalStats().page_reads);
-  }
+  MeasuredUpdate ssf_del = MeasureDeletes(bench, &bench.ssf(), kDeletes, 5);
   std::printf(
       "  SSF/BSSF delete:    %.1f scan reads on average (model SC_OID/2 = "
       "%.1f)\n",
-      scan_reads / kDeletes, SsfDeleteCost(db));
+      ssf_del.reads, SsfDeleteCost(db));
   EmitBenchRecord(
       "ssf.delete", {{"dt", 10}, {"f", 250}, {"m", 2}},
-      MeasuredCost{.pages = scan_reads / kDeletes,
-                   .reads = scan_reads / kDeletes, .wall_ms = -1},
+      MeasuredCost{.pages = ssf_del.reads, .reads = ssf_del.reads,
+                   .wall_ms = -1},
       SsfDeleteCost(db));
+
+  // The remaining singleton costs: a sparse BSSF delete (the OID scan plus
+  // the m_t clears of the victim's column), the NIX delete (one descent and
+  // posting rewrite per element, UC_D = rc·Dt), and inserts that reuse the
+  // slots these deletes freed.  A reused BSSF slot is written as a full
+  // F-slice column in every insert mode.
+  MeasuredUpdate bssf_del = MeasureDeletes(bench, &bench.bssf(), kDeletes, 6);
+  MeasuredUpdate nix_del = MeasureDeletes(bench, &bench.nix(), kDeletes, 7);
+  MeasuredUpdate ssf_reuse = MeasureInserts(bench.storage(), &bench.ssf(),
+                                            13000, 10, kTrials, 8, 60000);
+  MeasuredUpdate bssf_reuse = MeasureInserts(bench.storage(), &bench.bssf(),
+                                             13000, 10, kTrials, 9, 60000);
+  std::printf(
+      "  BSSF delete sparse: %.1f writes + %.1f reads (model SC_OID/2 = "
+      "%.1f)\n",
+      bssf_del.writes, bssf_del.reads, BssfDeleteCost(db));
+  std::printf(
+      "  NIX delete:         %.1f writes + %.1f traversal reads (model "
+      "rc*Dt = 30)\n",
+      nix_del.writes, nix_del.reads);
+  std::printf(
+      "  SSF reuse insert:   %.1f writes + %.1f reads (model UC_I = 2)\n",
+      ssf_reuse.writes, ssf_reuse.reads);
+  std::printf(
+      "  BSSF reuse sparse:  %.1f writes + %.1f reads (model m_t+1 = %.1f)\n",
+      bssf_reuse.writes, bssf_reuse.reads,
+      BssfInsertCostSparse({250, 2}, 10));
+  EmitBenchRecord("bssf.delete", {{"dt", 10}, {"f", 250}, {"m", 2}},
+                  update_cost(bssf_del), BssfDeleteCost(db));
+  EmitBenchRecord("nix.delete", {{"dt", 10}}, update_cost(nix_del),
+                  NixDeleteCost(db, nix, 10));
+  EmitBenchRecord("ssf.reuse_insert", {{"dt", 10}, {"f", 250}, {"m", 2}},
+                  update_cost(ssf_reuse), SsfInsertCost());
+  EmitBenchRecord("bssf.reuse_insert.sparse",
+                  {{"dt", 10}, {"f", 250}, {"m", 2}}, update_cost(bssf_reuse),
+                  BssfInsertCostSparse({250, 2}, 10));
 }
 
 }  // namespace
