@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the in-memory hot paths: element
 // signature hashing, set-signature construction, bit-packed extraction,
-// slice combination, B+-tree look-ups, and the planner's fixed costs (the
-// live V estimate and the access-path advisor).  These are CPU-cost
-// complements to the page-access experiments (the paper's model is
-// I/O-only).
+// slice combination, B+-tree look-ups, the planner's fixed costs (the live
+// V estimate and the access-path advisor), and singleton facility writes.
+// These are CPU-cost complements to the page-access experiments (the
+// paper's model is I/O-only).
 
 #include <benchmark/benchmark.h>
 
@@ -148,6 +148,132 @@ BENCHMARK(BM_AdviseAccessPaths)
     ->Args({static_cast<int64_t>(QueryKind::kSuperset), 5})
     ->Args({static_cast<int64_t>(QueryKind::kSubset), 40})
     ->Args({static_cast<int64_t>(QueryKind::kEquals), 10});
+
+// --- singleton facility writes at the Table-2 parameters -------------------
+//
+// Each case runs one insert or delete per iteration through the facility's
+// public Insert/Remove on in-memory files (N = 32,000, V = 13,000, Dt = 10,
+// F = 250, m = 2).  Iteration counts are fixed, because every iteration
+// changes the facility.
+
+// The Table-2 database and a seeded permutation of its objects.
+struct PaperObjects {
+  std::vector<Oid> oids;
+  std::vector<ElementSet> sets;
+  std::vector<size_t> order;
+};
+
+const PaperObjects& Objects() {
+  static const PaperObjects objects = [] {
+    PaperObjects o;
+    o.sets = MakeDatabase(WorkloadConfig{32000, 13000,
+                                         CardinalitySpec::Fixed(10),
+                                         SkewKind::kUniform, 0.99, 1});
+    for (size_t i = 0; i < o.sets.size(); ++i) {
+      o.oids.push_back(Oid::FromLocation(static_cast<PageId>(i), 0));
+      o.order.push_back(i);
+    }
+    Rng rng(5);
+    for (size_t i = o.order.size(); i > 1; --i) {
+      std::swap(o.order[i - 1], o.order[rng.NextBelow(i)]);
+    }
+    return o;
+  }();
+  return objects;
+}
+
+std::unique_ptr<BitSlicedSignatureFile> MakeSparseBssf(
+    StorageManager& storage) {
+  return ValueOrDie(BitSlicedSignatureFile::Create(
+                        {250, 2}, 32064, storage.CreateOrOpen("slices"),
+                        storage.CreateOrOpen("oid"), BssfInsertMode::kSparse),
+                    "bssf create");
+}
+
+// A sparse-mode append into a fresh slot (m_t + 1 pages).
+void BM_BssfFreshInsert(benchmark::State& state) {
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto bssf = MakeSparseBssf(storage);
+  size_t i = 0;
+  for (auto _ : state) {
+    CheckOk(bssf->Insert(o.oids[i], o.sets[i]), "insert");
+    ++i;
+  }
+}
+BENCHMARK(BM_BssfFreshInsert)->Iterations(32000);
+
+// A delete (OID scan plus m_t clears) and the insert that reuses its slot
+// (a full F-slice column).
+void BM_BssfRemoveReuseCycle(benchmark::State& state) {
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto bssf = MakeSparseBssf(storage);
+  CheckOk(bssf->BulkLoad(o.oids, o.sets), "bulk load");
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t victim = o.order[i++];
+    CheckOk(bssf->Remove(o.oids[victim], o.sets[victim]), "remove");
+    CheckOk(bssf->Insert(o.oids[victim], o.sets[victim]), "insert");
+  }
+}
+BENCHMARK(BM_BssfRemoveReuseCycle)->Iterations(4000);
+
+// One posting insert per element (rc·Dt page accesses), into a NIX over the
+// first half of the database.
+void BM_NixInsert(benchmark::State& state) {
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto nix = ValueOrDie(NestedIndex::Create(storage.CreateOrOpen("nix")),
+                        "nix create");
+  const size_t half = o.oids.size() / 2;
+  CheckOk(nix->BulkBuild({o.oids.begin(), o.oids.begin() + half},
+                         {o.sets.begin(), o.sets.begin() + half}),
+          "bulk build");
+  size_t i = half;
+  for (auto _ : state) {
+    CheckOk(nix->Insert(o.oids[i], o.sets[i]), "insert");
+    ++i;
+  }
+}
+BENCHMARK(BM_NixInsert)->Iterations(16000);
+
+// One posting removal per element, from a NIX over the whole database.
+void BM_NixRemove(benchmark::State& state) {
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto nix = ValueOrDie(NestedIndex::Create(storage.CreateOrOpen("nix")),
+                        "nix create");
+  CheckOk(nix->BulkBuild(o.oids, o.sets), "bulk build");
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t victim = o.order[i++];
+    CheckOk(nix->Remove(o.oids[victim], o.sets[victim]), "remove");
+  }
+}
+BENCHMARK(BM_NixRemove)->Iterations(16000);
+
+// A one-OID delete scan: an SSF delete only sets the victim's delete flag,
+// found by scanning the 32,000-entry OID file from the start.
+void BM_SsfDeleteScan(benchmark::State& state) {
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto ssf = ValueOrDie(
+      SequentialSignatureFile::Create({250, 2}, storage.CreateOrOpen("sig"),
+                                      storage.CreateOrOpen("oid")),
+      "ssf create");
+  std::vector<BatchOp> load;
+  for (size_t i = 0; i < o.oids.size(); ++i) {
+    load.push_back(BatchOp{BatchOp::Kind::kInsert, o.oids[i], o.sets[i]});
+  }
+  CheckOk(ssf->ApplyBatch(load), "load");
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t victim = o.order[i++];
+    CheckOk(ssf->Remove(o.oids[victim], o.sets[victim]), "remove");
+  }
+}
+BENCHMARK(BM_SsfDeleteScan)->Iterations(16000);
 
 }  // namespace
 }  // namespace sigsetdb

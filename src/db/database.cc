@@ -390,7 +390,8 @@ StatusOr<Oid> Database::InsertImpl(std::vector<ElementSet> attr_values) {
                                predicted.ToString());
   }
   for (size_t i = 0; applied.ok() && i < attrs_.size(); ++i) {
-    applied = attrs_[i]->Insert(*oid, attr_values[i]);
+    applied = attrs_[i]->ApplyBatch(
+        {BatchOp{BatchOp::Kind::kInsert, *oid, std::move(attr_values[i])}});
   }
   if (!applied.ok()) {
     return wal_ != nullptr ? AbortAndPoison(lsn, applied) : applied;
@@ -414,7 +415,8 @@ Status Database::DeleteImpl(Oid oid) {
   // from the indexes — never an index entry dangling at a missing object.
   Status applied = Status::OK();
   for (size_t i = 0; applied.ok() && i < attrs_.size(); ++i) {
-    applied = attrs_[i]->Remove(oid, victim.attrs[i]);
+    applied = attrs_[i]->ApplyBatch(
+        {BatchOp{BatchOp::Kind::kRemove, oid, std::move(victim.attrs[i])}});
   }
   if (applied.ok()) applied = store_->Delete(oid);
   if (!applied.ok()) {

@@ -306,12 +306,12 @@ Status IndexedAttribute::Rebuild(uint64_t generation,
     shape_.elements += set.size();
     for (uint64_t element : set) sketch_.Add(element);
   }
-  // SSF/BSSF: build pristine copies in memory, then compact them into this
-  // generation's files.  CompactTo overwrites from page 0 (BSSF rewrites
-  // every slice page), so whatever stale or torn state the crashed run left
-  // there is wiped.  Rebuilding in place via Insert would be wrong: SSF's
-  // append path allocates its tail page at the file END, which on a dirty
-  // file breaks the slot/page arithmetic reads depend on.
+  // SSF/BSSF: build pristine copies in memory with one batch, then compact
+  // them into this generation's files.  CompactTo overwrites from page 0
+  // (BSSF rewrites every slice page), so whatever stale or torn state the
+  // crashed run left there is wiped.  Rebuilding in place would be wrong:
+  // SSF's append path allocates its tail page at the file END, which on a
+  // dirty file breaks the slot/page arithmetic reads depend on.
   std::array<std::unique_ptr<InMemoryPageFile>, kNix> scratch;
   Files files{};
   for (int f = 0; f < kNix; ++f) {
@@ -321,10 +321,13 @@ Status IndexedAttribute::Rebuild(uint64_t generation,
     files[f] = scratch[f].get();
   }
   Status rebuilt = CreateEmpty(files);
+  std::vector<BatchOp> inserts;
+  inserts.reserve(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) {
+    inserts.push_back(BatchOp{BatchOp::Kind::kInsert, oids[i], sets[i]});
+  }
   for (SetAccessFacility* f : {Facility("ssf"), Facility("bssf")}) {
-    for (size_t i = 0; f != nullptr && rebuilt.ok() && i < oids.size(); ++i) {
-      rebuilt = f->Insert(oids[i], sets[i]);
-    }
+    if (f != nullptr && rebuilt.ok()) rebuilt = f->ApplyBatch(inserts);
   }
   if (rebuilt.ok()) rebuilt = Compact(generation);
   if (!rebuilt.ok()) {
@@ -354,23 +357,6 @@ Status IndexedAttribute::FlushVersions() {
   for (VersionedPageFile* v : versions_) {
     if (v != nullptr) SIGSET_RETURN_IF_ERROR(v->FlushToBase());
   }
-  return Status::OK();
-}
-
-Status IndexedAttribute::Insert(Oid oid, const ElementSet& set) {
-  for (SetAccessFacility* f : Facilities()) {
-    if (f != nullptr) SIGSET_RETURN_IF_ERROR(f->Insert(oid, set));
-  }
-  shape_.elements += set.size();
-  for (uint64_t element : set) sketch_.Add(element);
-  return Status::OK();
-}
-
-Status IndexedAttribute::Remove(Oid oid, const ElementSet& set) {
-  for (SetAccessFacility* f : Facilities()) {
-    if (f != nullptr) SIGSET_RETURN_IF_ERROR(f->Remove(oid, set));
-  }
-  shape_.elements -= std::min<uint64_t>(shape_.elements, set.size());
   return Status::OK();
 }
 

@@ -122,8 +122,7 @@ class IndexedAttribute {
 
   // --- writes (facilities and statistics together) ------------------------
 
-  Status Insert(Oid oid, const ElementSet& set);
-  Status Remove(Oid oid, const ElementSet& set);
+  // The one write path; a singleton insert or delete is a batch of one.
   Status ApplyBatch(const std::vector<BatchOp>& ops);
 
   // --- reads ----------------------------------------------------------------

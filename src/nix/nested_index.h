@@ -68,15 +68,12 @@ class NestedIndex : public SetAccessFacility {
 
   const std::string& name() const override { return name_; }
 
-  // Inserts/removes one posting per set element (the model's
-  // UC_I = UC_D = rc·Dt).
-  Status Insert(Oid oid, const ElementSet& set_value) override;
-  Status Remove(Oid oid, const ElementSet& set_value) override;
-
-  // Grouped write path: aggregates the batch's posting adds/removes per
+  // The write path: aggregates the batch's posting adds/removes per
   // element value, then descends the B-tree once per DISTINCT key in sorted
   // order (BTree::Apply), so posting-list writes are coalesced per key and
-  // splits amortize — the batched K·rc cost instead of n·Dt·rc.
+  // splits amortize — the batched K·rc cost instead of n·Dt·rc.  One
+  // insert or remove changes one posting per set element: the model's
+  // UC_I = UC_D = rc·Dt.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
   StatusOr<CandidateResult> Candidates(QueryKind kind,

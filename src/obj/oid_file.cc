@@ -1,7 +1,6 @@
 #include "obj/oid_file.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/failpoint.h"
 
@@ -46,21 +45,6 @@ Status OidFile::Recover(uint64_t num_entries) {
     }
   }
   return Status::OK();
-}
-
-StatusOr<uint64_t> OidFile::Append(Oid oid) {
-  SIGSET_FAILPOINT("oid_file.append");
-  uint64_t slot = num_entries_;
-  uint32_t offset_in_page = static_cast<uint32_t>(slot % kOidsPerPage);
-  if (offset_in_page == 0) {
-    SIGSET_ASSIGN_OR_RETURN(tail_page_, file_->Allocate());
-    tail_.Zero();
-  }
-  tail_.WriteAt<uint64_t>(offset_in_page * kOidBytes, oid.value());
-  SIGSET_RETURN_IF_ERROR(file_->Write(tail_page_, tail_));
-  ++num_entries_;
-  ++num_live_;
-  return slot;
 }
 
 StatusOr<uint64_t> OidFile::AppendMany(const std::vector<Oid>& oids) {
@@ -121,47 +105,26 @@ StatusOr<std::vector<Oid>> OidFile::GetMany(
   return out;
 }
 
-StatusOr<uint64_t> OidFile::MarkDeleted(Oid oid) {
-  SIGSET_FAILPOINT("oid_file.mark_deleted");
-  Page page;
-  // Scan only pages holding live entries; the file may have extra allocated
-  // pages after crash recovery.
-  const PageId used_pages = UsedPages();
-  for (PageId p = 0; p < used_pages; ++p) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(p, &page));
-    uint64_t entries_on_page =
-        std::min<uint64_t>(kOidsPerPage,
-                           num_entries_ - uint64_t{p} * kOidsPerPage);
-    for (uint64_t i = 0; i < entries_on_page; ++i) {
-      uint64_t raw = page.ReadAt<uint64_t>(i * kOidBytes);
-      if (raw == oid.value()) {
-        page.WriteAt<uint64_t>(i * kOidBytes, raw | kDeleteFlag);
-        SIGSET_RETURN_IF_ERROR(file_->Write(p, page));
-        // Keep the appender's tail image coherent if we touched it.
-        if (p == tail_page_) tail_ = page;
-        uint64_t slot = uint64_t{p} * kOidsPerPage + i;
-        free_slots_.push_back(slot);
-        --num_live_;
-        return slot;
-      }
-    }
-  }
-  return Status::NotFound("oid not present: " + oid.ToString());
-}
-
 StatusOr<std::vector<uint64_t>> OidFile::MarkDeletedMany(
     const std::vector<Oid>& oids) {
+  if (oids.empty()) return std::vector<uint64_t>{};
   // Locate everything first, buffering modified page images; nothing is
   // written until every victim is found, so a missing (or repeated) oid
-  // fails cleanly with zero I/O side effects.
-  std::unordered_map<uint64_t, size_t> wanted;  // oid value -> input index
-  wanted.reserve(oids.size());
-  for (size_t i = 0; i < oids.size(); ++i) {
-    if (!wanted.emplace(oids[i].value(), i).second) {
+  // fails cleanly with zero I/O side effects.  Victims are sorted by value
+  // (with their input positions) so a page holding none of them, which is
+  // almost every page of a small batch's scan, is passed over by one
+  // branch-free range test per entry.
+  std::vector<std::pair<uint64_t, size_t>> victims(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) victims[i] = {oids[i].value(), i};
+  std::sort(victims.begin(), victims.end());
+  for (size_t i = 1; i < victims.size(); ++i) {
+    if (victims[i].first == victims[i - 1].first) {
       return Status::InvalidArgument("duplicate oid in batch delete: " +
-                                     oids[i].ToString());
+                                     Oid(victims[i].first).ToString());
     }
   }
+  const uint64_t lo = victims.front().first;
+  const uint64_t span = victims.back().first - lo;
   std::vector<uint64_t> slots(oids.size());
   std::vector<std::pair<PageId, Page>> dirty;
   size_t found = 0;
@@ -169,13 +132,20 @@ StatusOr<std::vector<uint64_t>> OidFile::MarkDeletedMany(
   const PageId used_pages = UsedPages();
   for (PageId p = 0; p < used_pages && found < oids.size(); ++p) {
     SIGSET_RETURN_IF_ERROR(file_->Read(p, &page));
-    uint64_t entries_on_page = std::min<uint64_t>(
+    const uint64_t entries_on_page = std::min<uint64_t>(
         kOidsPerPage, num_entries_ - uint64_t{p} * kOidsPerPage);
+    bool in_range = false;
+    for (uint64_t i = 0; i < entries_on_page; ++i) {
+      in_range |= page.ReadAt<uint64_t>(i * kOidBytes) - lo <= span;
+    }
+    if (!in_range) continue;
     bool page_dirty = false;
     for (uint64_t i = 0; i < entries_on_page; ++i) {
-      uint64_t raw = page.ReadAt<uint64_t>(i * kOidBytes);
-      auto it = wanted.find(raw);
-      if (it == wanted.end()) continue;
+      const uint64_t raw = page.ReadAt<uint64_t>(i * kOidBytes);
+      if (raw - lo > span) continue;
+      auto it = std::lower_bound(victims.begin(), victims.end(),
+                                 std::make_pair(raw, size_t{0}));
+      if (it == victims.end() || it->first != raw) continue;
       page.WriteAt<uint64_t>(i * kOidBytes, raw | kDeleteFlag);
       slots[it->second] = uint64_t{p} * kOidsPerPage + i;
       page_dirty = true;
@@ -196,26 +166,6 @@ StatusOr<std::vector<uint64_t>> OidFile::MarkDeletedMany(
   for (uint64_t slot : slots) free_slots_.push_back(slot);
   num_live_ -= oids.size();
   return slots;
-}
-
-Status OidFile::SetAt(uint64_t slot, Oid oid) {
-  if (slot >= num_entries_) {
-    return Status::OutOfRange("oid slot out of range");
-  }
-  SIGSET_FAILPOINT("oid_file.append");
-  PageId page_no = static_cast<PageId>(slot / kOidsPerPage);
-  Page page;
-  SIGSET_RETURN_IF_ERROR(file_->Read(page_no, &page));
-  uint64_t offset = (slot % kOidsPerPage) * kOidBytes;
-  if ((page.ReadAt<uint64_t>(offset) & kDeleteFlag) == 0) {
-    return Status::Internal("SetAt target slot is not tombstoned");
-  }
-  page.WriteAt<uint64_t>(offset, oid.value());
-  SIGSET_RETURN_IF_ERROR(file_->Write(page_no, page));
-  if (page_no == tail_page_) tail_ = page;
-  DropFreeSlot(slot);
-  ++num_live_;
-  return Status::OK();
 }
 
 Status OidFile::SetMany(

@@ -9,7 +9,7 @@
 // The delete flag doubles as the persistent free-slot record: recovery
 // rescans the used pages and rebuilds the in-memory free list from the
 // flags, so tombstoned slots can be handed back out to later inserts
-// (SetAt/SetMany overwrite the entry in place and clear the flag).  The
+// (SetMany overwrites the entry in place and clears the flag).  The
 // entry count `num_entries_` stays a high-water mark — the checkpoint
 // format is unchanged — while `num_live_` tracks the unflagged population.
 
@@ -31,9 +31,8 @@ inline constexpr uint32_t kOidsPerPage = kPageSize / kOidBytes;
 // Sequential file of 8-byte OID entries addressed by slot number.
 class OidFile {
  public:
-  // Does not take ownership of `file`.  The appender buffers its tail page in
-  // memory, so Append costs exactly one page write — the model's UC_I charge
-  // of one access for the OID file.  `file` is assumed empty; to reopen a
+  // Does not take ownership of `file`.  The appender buffers its tail page
+  // in memory, so appends never read.  `file` is assumed empty; to reopen a
   // populated file call Recover() with the persisted entry count.
   explicit OidFile(PageFile* file);
 
@@ -51,12 +50,11 @@ class OidFile {
     num_live_ = num_live;
   }
 
-  // Appends `oid`, returning its slot number (== signature position).
-  StatusOr<uint64_t> Append(Oid oid);
-
-  // Appends `oids` as one contiguous run of fresh slots, writing each
-  // touched tail page once (⌈n/O_d⌉-ish writes instead of n).  Returns the
-  // slot of the first appended entry; the rest follow consecutively.
+  // Appends `oids` as one contiguous run of fresh slots (slot ==
+  // signature position), writing each touched tail page once: one OID
+  // costs exactly one page write, the model's UC_I charge for the OID
+  // file, and n OIDs about ⌈n/O_d⌉.  Returns the slot of the first
+  // appended entry; the rest follow consecutively.
   StatusOr<uint64_t> AppendMany(const std::vector<Oid>& oids);
 
   // Reads the entry at `slot` (one page read).  Returns an invalid Oid if
@@ -69,27 +67,21 @@ class OidFile {
   // Delete-flagged entries are skipped.
   StatusOr<std::vector<Oid>> GetMany(const std::vector<uint64_t>& slots) const;
 
-  // Scans from the start for the entry holding `oid` and sets its delete
-  // flag.  Costs (slot/O_d + 1) page reads + 1 write; averaged over uniform
-  // victims this is the model's UC_D = SC_OID/2.  Returns the tombstoned
-  // slot, which also joins the free list for reuse.
-  StatusOr<uint64_t> MarkDeleted(Oid oid);
-
-  // Tombstones every oid in `oids` with ONE scan over the used pages and
-  // one write per dirty page — the batched UC_D: SC_OID reads plus
-  // min(n, dirty pages) writes for the whole batch.  Fails without writing
-  // anything if any oid is absent (or listed twice).  Returns the freed
-  // slots aligned with the input order.
+  // Sets the delete flag of every oid in `oids` with ONE scan from the
+  // start, stopping at the page holding the last victim, and one write per
+  // dirty page.  For one oid that is (slot/O_d + 1) page reads + 1 write;
+  // averaged over uniform victims, the model's UC_D = SC_OID/2.  Fails
+  // without writing anything if any oid is absent (or listed twice).
+  // Returns the tombstoned slots aligned with the input order; they also
+  // join the free list for reuse.
   StatusOr<std::vector<uint64_t>> MarkDeletedMany(const std::vector<Oid>& oids);
 
-  // Overwrites the tombstoned entry at `slot` with `oid` (clearing the
-  // delete flag) and removes the slot from the free list.  One page
-  // read-modify-write.  This is the commit point of slot reuse: callers
-  // deposit the new signature first, then SetAt publishes the slot.
-  Status SetAt(uint64_t slot, Oid oid);
-
-  // SetAt for many (slot, oid) pairs, grouped so each distinct page is
-  // read and written once.  `entries` must be sorted by slot.
+  // Overwrites each tombstoned entry `slot` with its `oid` (clearing the
+  // delete flag) and removes the slot from the free list, reading and
+  // writing each distinct page once: one page read-modify-write for one
+  // entry.  This is the commit point of slot reuse: callers deposit the
+  // new signature first, then SetMany publishes the slot.  `entries` must
+  // be sorted by slot.
   Status SetMany(const std::vector<std::pair<uint64_t, Oid>>& entries);
 
   // All live (unflagged) entries as (slot, oid), in slot order — one read
@@ -97,7 +89,7 @@ class OidFile {
   StatusOr<std::vector<std::pair<uint64_t, Oid>>> LiveEntries() const;
 
   // Tombstoned slots available for reuse (most recently freed last; callers
-  // take from the back and commit with SetAt/SetMany).
+  // take from the back and commit with SetMany).
   const std::vector<uint64_t>& free_slots() const { return free_slots_; }
 
   // Total entries appended (including delete-flagged ones).

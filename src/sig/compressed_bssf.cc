@@ -105,10 +105,8 @@ Status CompressedBitSlicedSignatureFile::BulkLoad(
     SIGSET_RETURN_IF_ERROR(slice_file_->Write(static_cast<PageId>(p), page));
   }
 
-  for (uint64_t slot = 0; slot < n; ++slot) {
-    SIGSET_ASSIGN_OR_RETURN(uint64_t oid_slot, oid_file_.Append(oids[slot]));
-    if (oid_slot != slot) return Status::Internal("bulk OID slot mismatch");
-  }
+  SIGSET_ASSIGN_OR_RETURN(uint64_t first_slot, oid_file_.AppendMany(oids));
+  if (first_slot != 0) return Status::Internal("bulk OID slot mismatch");
   num_signatures_ = n;
   // Bulk-build I/O is setup, not an experiment cost.
   slice_file_->stats().Reset();

@@ -53,10 +53,11 @@ struct CandidateResult {
   bool exact = false;
 };
 
-// One operation of a grouped write batch, applied facility-side so each
-// implementation can coalesce page touches across the whole group (BSSF
-// touches each dirty slice page once per batch instead of once per insert;
-// NIX descends once per distinct key).
+// One operation of a write batch.  Every write reaches a facility as a
+// batch (a singleton insert or delete is a batch of one), so each
+// implementation coalesces page touches across the whole group: BSSF
+// touches each dirty slice page once per batch, NIX descends once per
+// distinct key.
 struct BatchOp {
   enum class Kind { kInsert, kRemove };
   Kind kind = Kind::kInsert;
@@ -72,27 +73,23 @@ class SetAccessFacility {
   // Human-readable facility name ("ssf", "bssf", "nix").
   virtual const std::string& name() const = 0;
 
-  // Indexes `set_value` for object `oid`.
-  virtual Status Insert(Oid oid, const ElementSet& set_value) = 0;
+  // The one write method: applies a group of inserts and removes.  Removes
+  // run first, so slots they free can take the batch's inserts; a batch
+  // must not remove an object it inserts.  A remove carries the object's
+  // indexed value (NIX needs it; the signature files check it only with
+  // paranoid checks on).  Removes are not transactional: a mid-batch error
+  // leaves a prefix applied (the crash-recovery protocol owns atomicity).
+  virtual Status ApplyBatch(const std::vector<BatchOp>& ops) = 0;
 
-  // Removes the index information for `oid` (whose indexed value was
-  // `set_value`; signature facilities ignore it, NIX needs it).
-  virtual Status Remove(Oid oid, const ElementSet& set_value) = 0;
+  // Indexes `set_value` for object `oid`: a batch of one insert.
+  Status Insert(Oid oid, const ElementSet& set_value) {
+    return ApplyBatch({BatchOp{BatchOp::Kind::kInsert, oid, set_value}});
+  }
 
-  // Applies a group of inserts/removes in one call.  Implementations
-  // override this to coalesce page writes across the batch; the default is
-  // the op-by-op loop, so the result is always equivalent to applying the
-  // ops in order.  Removes are not transactional: a mid-batch error leaves
-  // a prefix applied (the crash-recovery protocol owns atomicity).
-  virtual Status ApplyBatch(const std::vector<BatchOp>& ops) {
-    for (const BatchOp& op : ops) {
-      if (op.kind == BatchOp::Kind::kInsert) {
-        SIGSET_RETURN_IF_ERROR(Insert(op.oid, op.set_value));
-      } else {
-        SIGSET_RETURN_IF_ERROR(Remove(op.oid, op.set_value));
-      }
-    }
-    return Status::OK();
+  // Removes the index information for `oid`, whose indexed value was
+  // `set_value`: a batch of one remove.
+  Status Remove(Oid oid, const ElementSet& set_value) {
+    return ApplyBatch({BatchOp{BatchOp::Kind::kRemove, oid, set_value}});
   }
 
   // Returns candidate OIDs for the query.  `query` must be normalized.

@@ -119,52 +119,6 @@ SequentialSignatureFile::SequentialSignatureFile(const SignatureConfig& config,
       oid_file_(oid_file),
       union_index_(config.f) {}
 
-Status SequentialSignatureFile::Insert(Oid oid, const ElementSet& set_value) {
-  SIGSET_FAILPOINT("ssf.insert");
-  BitVector sig = MakeSetSignature(set_value, config_);
-  if (!oid_file_.free_slots().empty()) {
-    // Reuse the most recently tombstoned slot: overwrite the dead signature
-    // in place (DepositBits writes clear bits too, so no stale bits leak),
-    // then publish by clearing the OID entry's delete flag.  A crash
-    // between the two writes leaves the slot tombstoned — invisible, still
-    // free, and repaired by the next reuse.
-    uint64_t slot = oid_file_.free_slots().back();
-    SIGSET_RETURN_IF_ERROR(OverwriteSlot(slot, sig));
-    union_index_.AddSignature(slot / sigs_per_page_, sig);
-    return oid_file_.SetAt(slot, oid);
-  }
-  uint32_t slot_in_page =
-      static_cast<uint32_t>(num_signatures_ % sigs_per_page_);
-  if (slot_in_page == 0) {
-    SIGSET_ASSIGN_OR_RETURN(tail_page_, signature_file_->Allocate());
-    tail_.Zero();
-  }
-  DepositBits(sig, tail_.data(), static_cast<size_t>(slot_in_page) * config_.f);
-  SIGSET_RETURN_IF_ERROR(signature_file_->Write(tail_page_, tail_));
-  union_index_.AddSignature(num_signatures_ / sigs_per_page_, sig);
-  SIGSET_ASSIGN_OR_RETURN(uint64_t oid_slot, oid_file_.Append(oid));
-  if (oid_slot != num_signatures_) {
-    return Status::Internal("signature/OID slot mismatch");
-  }
-  ++num_signatures_;
-  return Status::OK();
-}
-
-Status SequentialSignatureFile::OverwriteSlot(uint64_t slot,
-                                              const BitVector& sig) {
-  PageId p = static_cast<PageId>(slot / sigs_per_page_);
-  size_t bit_off =
-      static_cast<size_t>(slot % sigs_per_page_) * config_.f;
-  if (p == tail_page_) {
-    DepositBits(sig, tail_.data(), bit_off);
-    return signature_file_->Write(tail_page_, tail_);
-  }
-  Page page;
-  SIGSET_RETURN_IF_ERROR(signature_file_->Read(p, &page));
-  DepositBits(sig, page.data(), bit_off);
-  return signature_file_->Write(p, page);
-}
-
 Status SequentialSignatureFile::CheckSlotSignature(
     uint64_t slot, const ElementSet& set_value) const {
   PageId p = static_cast<PageId>(slot / sigs_per_page_);
@@ -181,19 +135,7 @@ Status SequentialSignatureFile::CheckSlotSignature(
   return Status::OK();
 }
 
-Status SequentialSignatureFile::Remove(Oid oid, const ElementSet& set_value) {
-  SIGSET_ASSIGN_OR_RETURN(uint64_t slot, oid_file_.MarkDeleted(oid));
-  // The dangling signature stays in the page, so the page union keeps its
-  // bits (upper bound); only the live count shrinks.
-  union_index_.OnDelete(slot / sigs_per_page_);
-  if (paranoid_checks_) {
-    SIGSET_RETURN_IF_ERROR(CheckSlotSignature(slot, set_value));
-  }
-  return Status::OK();
-}
-
 Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
-  SIGSET_FAILPOINT("ssf.insert");
   // Removes first, so slots this batch frees are available to its inserts.
   std::vector<Oid> remove_oids;
   std::vector<const ElementSet*> remove_sets;
@@ -207,6 +149,8 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
     }
   }
   if (!remove_oids.empty()) {
+    // The dangling signatures stay in their pages, so the page unions keep
+    // their bits (upper bound); only the live counts shrink.
     SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
                             oid_file_.MarkDeletedMany(remove_oids));
     for (uint64_t slot : slots) {
@@ -219,8 +163,14 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
       }
     }
   }
-  // Refill tombstoned slots: one signature-page RMW per distinct page, one
-  // OID-page RMW per distinct page (SetMany).
+  if (inserts.empty()) return Status::OK();
+  SIGSET_FAILPOINT("ssf.insert");
+  // Refill tombstoned slots, most recently freed first: the new signature
+  // overwrites the dead one in place (DepositBits writes clear bits too, so
+  // no stale bits leak), one signature-page RMW per distinct page, then
+  // SetMany publishes the slots with one OID-page RMW per distinct page.
+  // A crash between the two leaves the slots tombstoned: invisible, still
+  // free, and repaired by the next reuse.
   size_t reuse = std::min(inserts.size(), oid_file_.free_slots().size());
   if (reuse > 0) {
     std::vector<std::pair<uint64_t, const BatchOp*>> refill;
@@ -241,7 +191,12 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
           SIGSET_RETURN_IF_ERROR(signature_file_->Write(loaded, page));
           if (loaded == tail_page_) tail_ = page;
         }
-        SIGSET_RETURN_IF_ERROR(signature_file_->Read(p, &page));
+        // The tail page's image is already in memory.
+        if (p == tail_page_) {
+          page = tail_;
+        } else {
+          SIGSET_RETURN_IF_ERROR(signature_file_->Read(p, &page));
+        }
         loaded = p;
       }
       BitVector refill_sig = MakeSetSignature(op->set_value, config_);

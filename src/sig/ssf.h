@@ -47,24 +47,18 @@ class SequentialSignatureFile : public SetAccessFacility {
 
   const std::string& name() const override { return name_; }
 
-  // Appends the signature of `set_value` and the OID (2 page writes — the
-  // paper's UC_I = 2).  When a tombstoned slot is available it is reused
-  // instead: the new signature overwrites the dead one in place (DepositBits
-  // writes both set and clear bits) and the OID entry's delete flag is
-  // cleared, so deleted space is recycled rather than scanned forever.
-  Status Insert(Oid oid, const ElementSet& set_value) override;
-
-  // Sets the delete flag in the OID file (expected SC_OID/2 page reads plus
-  // one write — the paper's UC_D).  The dangling signature remains, is
-  // filtered by the OID lookup, and its slot joins the free list for reuse.
-  // With paranoid checks on, verifies the stored signature at the
-  // tombstoned slot matches `set_value` (corruption tripwire).
-  Status Remove(Oid oid, const ElementSet& set_value) override;
-
-  // Grouped write path: removes are tombstoned with one OID-file scan,
-  // freed slots are refilled with one read-modify-write per distinct
-  // signature page, and the remaining inserts are appended tail-page-at-a-
-  // time — ⌈n/sigs_per_page⌉ + ⌈n/O_d⌉ writes for n appends instead of 2n.
+  // The write path.  Removes set their delete flags with one OID-file scan
+  // (one remove: expected SC_OID/2 page reads plus one write, the paper's
+  // UC_D); each dangling signature remains, is filtered by the OID lookup,
+  // and its slot joins the free list.  With paranoid checks on, the stored
+  // signature at each tombstoned slot must match the remove's set value
+  // (corruption tripwire).  Inserts first refill tombstoned slots in place
+  // (DepositBits writes both set and clear bits), so deleted space is
+  // recycled rather than scanned forever: one read-modify-write per
+  // distinct signature page (none for the in-memory tail page) and per OID
+  // page.  The rest are appended tail-page-at-a-time: ⌈n/sigs_per_page⌉ +
+  // ⌈n/O_d⌉ writes for n appends, so one insert costs 2 page writes, the
+  // paper's UC_I = 2.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
   // Rewrites the live signatures and OID entries densely into the target
@@ -111,7 +105,7 @@ class SequentialSignatureFile : public SetAccessFacility {
   uint32_t signatures_per_page() const { return sigs_per_page_; }
   const SignatureConfig& config() const { return config_; }
 
-  // Enables/disables the Remove() signature-match tripwire (defaults to on
+  // Enables/disables the removes' signature-match tripwire (defaults to on
   // in debug builds, off under NDEBUG).
   void set_paranoid_checks(bool on) { paranoid_checks_ = on; }
 
@@ -132,9 +126,6 @@ class SequentialSignatureFile : public SetAccessFacility {
   SequentialSignatureFile(const SignatureConfig& config,
                           PageFile* signature_file, PageFile* oid_file);
 
-  // Overwrites the signature at `slot` in place (one page RMW; uses the
-  // tail image when the slot lives on the tail page).
-  Status OverwriteSlot(uint64_t slot, const BitVector& sig);
   // Tripwire: extract the signature stored at `slot` and compare it with
   // the signature of `set_value`.
   Status CheckSlotSignature(uint64_t slot, const ElementSet& set_value) const;

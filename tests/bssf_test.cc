@@ -63,6 +63,21 @@ TEST_F(BssfTest, SparseInsertTouchesOnlySetBits) {
   EXPECT_EQ(slice_file_.stats().page_writes, sig.Count());
 }
 
+TEST_F(BssfTest, BulkLoadWritesEachOidPageOnce) {
+  MakeBssf({64, 2}, 1024, BssfInsertMode::kSparse);
+  std::vector<Oid> oids;
+  std::vector<ElementSet> sets;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    oids.push_back(MakeOid(i));
+    sets.push_back({i, i + 1});
+  }
+  ASSERT_TRUE(bssf_->BulkLoad(oids, sets).ok());
+  // 1,000 OIDs fill two OID pages, each written once.
+  EXPECT_EQ(oid_file_.stats().page_writes, 2u);
+  EXPECT_EQ(*bssf_->ResolveSlots({0, 999}),
+            (std::vector<Oid>{MakeOid(0), MakeOid(999)}));
+}
+
 TEST_F(BssfTest, CapacityEnforced) {
   MakeBssf({32, 1}, 2);
   ASSERT_TRUE(bssf_->Insert(MakeOid(0), {1}).ok());

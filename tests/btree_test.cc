@@ -318,7 +318,9 @@ TEST_F(BTreeTest, RandomApplyGroupsKeepEveryPosting) {
   for (int round = 0; round < 400; ++round) {
     const uint64_t key = rng.NextBelow(24) * 10;
     std::vector<Oid>& have = want[key];
-    const size_t target = rng.NextBelow(509) + 1;
+    // Targets past the 509-OID inline limit make groups spill, grow,
+    // shrink, drain (target 0) and refill overflow chains.
+    const size_t target = rng.NextBelow(2001);
     std::vector<Oid> adds;
     std::vector<Oid> removes;
     while (have.size() > target) {
@@ -340,6 +342,89 @@ TEST_F(BTreeTest, RandomApplyGroupsKeepEveryPosting) {
     EXPECT_EQ(*postings, oids) << "key " << key;
   }
   EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
+// A tree of height 1 whose key kChainKey holds a 40-page overflow chain:
+// 39 bulk-loaded full pages behind a head page with one OID (room for
+// 510).  chain[i] is the i-th bulk-loaded posting, on chain page
+// 1 + i / 511 (the head is page 0).
+class BTreeChainTest : public BTreeTest {
+ protected:
+  static constexpr uint64_t kChainKey = 5000;
+  static constexpr size_t kPerPage = 511;
+
+  void SetUp() override {
+    MakeTree();
+    std::vector<BTreeEntry> entries;
+    for (uint64_t k = 0; k < 1000; ++k) {
+      entries.push_back({k, {MakeOid(k), MakeOid(k + 1)}});
+    }
+    BTreeEntry chain{kChainKey, {}};
+    for (uint64_t i = 0; i < 39 * kPerPage; ++i) {
+      chain.postings.push_back(MakeOid(100000 + i));
+    }
+    chain_ = chain.postings;
+    entries.push_back(std::move(chain));
+    ASSERT_TRUE(tree_->BulkLoad(entries).ok());
+    ASSERT_TRUE(tree_->Apply(kChainKey, {MakeOid(1)}, {}).ok());
+    chain_.push_back(MakeOid(1));
+    ASSERT_EQ(tree_->overflow_pages(), 40u);
+    ASSERT_EQ(tree_->height(), 1u);
+    file_.stats().Reset();
+  }
+
+  void ExpectChainHolds() {
+    std::sort(chain_.begin(), chain_.end());
+    EXPECT_EQ(*tree_->Lookup(kChainKey), chain_);
+    EXPECT_TRUE(tree_->ValidateStructure().ok());
+  }
+
+  std::vector<Oid> chain_;
+};
+
+TEST_F(BTreeChainTest, OneAddWritesOnlyTheHeadAndLeaf) {
+  ASSERT_TRUE(tree_->Apply(kChainKey, {MakeOid(2)}, {}).ok());
+  EXPECT_EQ(file_.stats().page_reads, (tree_->height() + 1u) + 1u);
+  EXPECT_EQ(file_.stats().page_writes, 2u);
+  chain_.push_back(MakeOid(2));
+  ExpectChainHolds();
+}
+
+TEST_F(BTreeChainTest, OneRemoveReadsUpToItsVictim) {
+  // chain_[19 * 511 + 3] lies on chain page 20.
+  const Oid victim = chain_[19 * kPerPage + 3];
+  ASSERT_TRUE(tree_->Apply(kChainKey, {}, {victim}).ok());
+  EXPECT_EQ(file_.stats().page_reads, (tree_->height() + 1u) + 21u);
+  EXPECT_EQ(file_.stats().page_writes, 2u);
+  chain_.erase(std::find(chain_.begin(), chain_.end(), victim));
+  ExpectChainHolds();
+}
+
+TEST_F(BTreeChainTest, ManyAddsFillTheHeadThenPrependPages) {
+  std::vector<Oid> adds;
+  for (uint64_t i = 0; i < 600; ++i) adds.push_back(MakeOid(200000 + i));
+  ASSERT_TRUE(tree_->Apply(kChainKey, adds, {}).ok());
+  EXPECT_LE(file_.stats().page_writes, (600u + kPerPage - 1) / kPerPage + 2);
+  chain_.insert(chain_.end(), adds.begin(), adds.end());
+  ExpectChainHolds();
+}
+
+TEST_F(BTreeChainTest, ManyRemovesReadEachChainPageOnce) {
+  // 100 victims spread over every page of the chain, head included.
+  std::vector<Oid> removes = {MakeOid(1)};
+  for (size_t i = 0; i < 99; ++i) removes.push_back(chain_[i * 199 + 7]);
+  ASSERT_TRUE(tree_->Apply(kChainKey, {}, removes).ok());
+  EXPECT_LE(file_.stats().page_reads, (tree_->height() + 1u) + 40u);
+  for (const Oid& oid : removes) {
+    chain_.erase(std::find(chain_.begin(), chain_.end(), oid));
+  }
+  ExpectChainHolds();
+  // A missing victim fails the whole group before anything is written.
+  file_.stats().Reset();
+  EXPECT_EQ(tree_->Apply(kChainKey, {}, {chain_[5], MakeOid(1)}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(file_.stats().page_writes, 0u);
+  ExpectChainHolds();
 }
 
 TEST_F(BTreeTest, BulkLoadSmall) {

@@ -11,7 +11,7 @@ TEST(OidFileTest, AppendReturnsSequentialSlots) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
   for (uint64_t i = 0; i < 10; ++i) {
-    auto slot = of.Append(MakeOid(i));
+    auto slot = of.AppendMany({MakeOid(i)});
     ASSERT_TRUE(slot.ok());
     EXPECT_EQ(*slot, i);
   }
@@ -21,9 +21,9 @@ TEST(OidFileTest, AppendReturnsSequentialSlots) {
 TEST(OidFileTest, AppendCostsOneWrite) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(0)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(0)}).ok());
   file.stats().Reset();
-  ASSERT_TRUE(of.Append(MakeOid(1)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(1)}).ok());
   EXPECT_EQ(file.stats().page_writes, 1u);
   EXPECT_EQ(file.stats().page_reads, 0u);
 }
@@ -31,7 +31,7 @@ TEST(OidFileTest, AppendCostsOneWrite) {
 TEST(OidFileTest, GetReturnsAppendedOid) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(7)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(7)}).ok());
   auto got = of.Get(0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, MakeOid(7));
@@ -42,7 +42,7 @@ TEST(OidFileTest, PagesFillAtOidsPerPage) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
   for (uint64_t i = 0; i < kOidsPerPage + 1; ++i) {
-    ASSERT_TRUE(of.Append(MakeOid(i)).ok());
+    ASSERT_TRUE(of.AppendMany({MakeOid(i)}).ok());
   }
   EXPECT_EQ(of.num_pages(), 2u);
   auto last = of.Get(kOidsPerPage);
@@ -54,7 +54,7 @@ TEST(OidFileTest, GetManyReadsEachPageOnce) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
   for (uint64_t i = 0; i < 2 * kOidsPerPage; ++i) {
-    ASSERT_TRUE(of.Append(MakeOid(i)).ok());
+    ASSERT_TRUE(of.AppendMany({MakeOid(i)}).ok());
   }
   file.stats().Reset();
   // Slots spanning both pages, several per page.
@@ -70,16 +70,16 @@ TEST(OidFileTest, GetManyReadsEachPageOnce) {
 TEST(OidFileTest, GetManyRejectsOutOfRange) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(0)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(0)}).ok());
   EXPECT_EQ(of.GetMany({0, 1}).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(OidFileTest, MarkDeletedHidesEntry) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(1)).ok());
-  ASSERT_TRUE(of.Append(MakeOid(2)).ok());
-  ASSERT_TRUE(of.MarkDeleted(MakeOid(1)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(1)}).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(2)}).ok());
+  ASSERT_TRUE(of.MarkDeletedMany({MakeOid(1)}).ok());
   auto got = of.Get(0);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->valid());
@@ -93,19 +93,20 @@ TEST(OidFileTest, MarkDeletedHidesEntry) {
 TEST(OidFileTest, MarkDeletedMissingOidFails) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(1)).ok());
-  EXPECT_EQ(of.MarkDeleted(MakeOid(9)).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(of.AppendMany({MakeOid(1)}).ok());
+  EXPECT_EQ(of.MarkDeletedMany({MakeOid(9)}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(OidFileTest, MarkDeletedScansFromStart) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
   for (uint64_t i = 0; i < 3 * kOidsPerPage; ++i) {
-    ASSERT_TRUE(of.Append(MakeOid(i)).ok());
+    ASSERT_TRUE(of.AppendMany({MakeOid(i)}).ok());
   }
   file.stats().Reset();
   // Victim on the third page: scan reads 3 pages, then 1 write.
-  ASSERT_TRUE(of.MarkDeleted(MakeOid(2 * kOidsPerPage + 5)).ok());
+  ASSERT_TRUE(of.MarkDeletedMany({MakeOid(2 * kOidsPerPage + 5)}).ok());
   EXPECT_EQ(file.stats().page_reads, 3u);
   EXPECT_EQ(file.stats().page_writes, 1u);
 }
@@ -113,9 +114,9 @@ TEST(OidFileTest, MarkDeletedScansFromStart) {
 TEST(OidFileTest, AppendAfterDeleteOnTailPageKeepsEntries) {
   InMemoryPageFile file("oid");
   OidFile of(&file);
-  ASSERT_TRUE(of.Append(MakeOid(1)).ok());
-  ASSERT_TRUE(of.MarkDeleted(MakeOid(1)).ok());
-  ASSERT_TRUE(of.Append(MakeOid(2)).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(1)}).ok());
+  ASSERT_TRUE(of.MarkDeletedMany({MakeOid(1)}).ok());
+  ASSERT_TRUE(of.AppendMany({MakeOid(2)}).ok());
   // The tombstone must survive the subsequent tail-page rewrite.
   auto e0 = of.Get(0);
   ASSERT_TRUE(e0.ok());

@@ -48,6 +48,28 @@ TEST_F(SsfTest, InsertCostsTwoPageWrites) {
   EXPECT_EQ(sig_file_.stats().page_reads + oid_file_.stats().page_reads, 0u);
 }
 
+TEST_F(SsfTest, ReuseOnTailPageReadsNoSignaturePage) {
+  MakeSsf({250, 2});
+  ASSERT_TRUE(ssf_->ApplyBatch({{BatchOp::Kind::kInsert, MakeOid(0), {1, 2}},
+                                {BatchOp::Kind::kInsert, MakeOid(1), {3, 4}},
+                                {BatchOp::Kind::kInsert, MakeOid(2), {5, 6}}})
+                  .ok());
+  ASSERT_TRUE(
+      ssf_->ApplyBatch({{BatchOp::Kind::kRemove, MakeOid(1), {3, 4}}}).ok());
+  sig_file_.stats().Reset();
+  oid_file_.stats().Reset();
+  // Slot 1 is free and lives on the tail page, whose image is in memory.
+  ASSERT_TRUE(
+      ssf_->ApplyBatch({{BatchOp::Kind::kInsert, MakeOid(3), {7, 8}}}).ok());
+  EXPECT_EQ(sig_file_.stats().page_reads, 0u);
+  EXPECT_EQ(sig_file_.stats().page_writes, 1u);
+  EXPECT_EQ(ssf_->num_signatures(), 3u);
+  auto result = ssf_->Candidates(QueryKind::kSuperset, {7, 8});
+  ASSERT_TRUE(result.ok());
+  EXPECT_NE(std::find(result->oids.begin(), result->oids.end(), MakeOid(3)),
+            result->oids.end());
+}
+
 TEST_F(SsfTest, SignaturePackingMatchesModel) {
   MakeSsf({250, 2});
   // 131 signatures of 250 bits per 4 KiB page.

@@ -78,7 +78,8 @@ case "${1:-all}" in
     # interleavings, ASan the slot-reuse and compaction rewrites.
     shift
     run_one thread -R 'write_batch|delete_query|synchronized_set_index' "$@"
-    run_one address -R 'write_batch|delete_query|oid_file|ssf|bssf' "$@"
+    run_one address -R \
+      'write_batch|delete_query|oid_file|ssf|bssf|btree|nested_index' "$@"
     ;;
   kernels)
     # The dispatched kernels do unaligned 256-bit loads right up to buffer
