@@ -203,8 +203,8 @@ void BM_BssfFreshInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BssfFreshInsert)->Iterations(32000);
 
-// A delete (OID scan plus m_t clears) and the insert that reuses its slot
-// (a full F-slice column).
+// A delete (OID scan plus m_t clears) and the sparse insert that reuses
+// its slot (m_t set bits, like a fresh append).
 void BM_BssfRemoveReuseCycle(benchmark::State& state) {
   const PaperObjects& o = Objects();
   StorageManager storage;

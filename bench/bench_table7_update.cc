@@ -178,8 +178,9 @@ void Run() {
   // The remaining singleton costs: a sparse BSSF delete (the OID scan plus
   // the m_t clears of the victim's column), the NIX delete (one descent and
   // posting rewrite per element, UC_D = rc·Dt), and inserts that reuse the
-  // slots these deletes freed.  A reused BSSF slot is written as a full
-  // F-slice column in every insert mode.
+  // slots these deletes freed.  A freed BSSF column is all-zero, so a
+  // sparse insert into it writes only its m_t one-bit slices, like an
+  // append.
   MeasuredUpdate bssf_del = MeasureDeletes(bench, &bench.bssf(), kDeletes, 6);
   MeasuredUpdate nix_del = MeasureDeletes(bench, &bench.nix(), kDeletes, 7);
   MeasuredUpdate ssf_reuse = MeasureInserts(bench.storage(), &bench.ssf(),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "db/epoch.h"
@@ -163,11 +164,28 @@ StatusOr<PageFile*> Database::OpenVersioned(const std::string& file_name,
       std::unique_ptr<VersionedPageFile> wrapper,
       VersionedPageFile::Wrap(base, epochs_->published_cell()));
   VersionedPageFile* raw = wrapper.get();
-  epochs_->RegisterReclaimer(
+  const uint64_t reclaimer = epochs_->RegisterReclaimer(
       [raw](uint64_t oldest_pinned) { return raw->Reclaim(oldest_pinned); });
-  versioned_all_.push_back(std::move(wrapper));
+  versioned_all_.push_back(Versioned{std::move(wrapper), reclaimer});
   if (slot != nullptr) *slot = raw;
   return raw;
+}
+
+void Database::FreeRetiredWrappers() {
+  if (retired_.empty()) return;
+  const uint64_t oldest = epochs_->OldestPinned();
+  std::erase_if(retired_, [&](const Retired& retired) {
+    if (retired.epoch > oldest) return false;
+    std::erase_if(versioned_all_, [&](const Versioned& v) {
+      if (std::find(retired.files.begin(), retired.files.end(),
+                    v.file.get()) == retired.files.end()) {
+        return false;
+      }
+      epochs_->UnregisterReclaimer(v.reclaimer);
+      return true;
+    });
+    return true;
+  });
 }
 
 void Database::PublishSnapshot() {
@@ -179,6 +197,7 @@ void Database::PublishSnapshot() {
   snap->objects = v_objects_;
   for (const auto& attr : attrs_) snap->attrs.push_back(attr->Publish());
   epochs_->Publish(std::move(snap));
+  FreeRetiredWrappers();
 }
 
 StatusOr<std::unique_ptr<DatabaseSnapshot>> Database::GetSnapshot() {
@@ -545,12 +564,21 @@ Status Database::CompactImpl() {
     SIGSET_RETURN_IF_ERROR(
         wal_->AppendAndCommit(LogRecord::CompactCommit(next_gen)).status());
   }
-  for (const auto& attr : attrs_) attr->CommitCompaction();
+  Retired superseded;
+  for (const auto& attr : attrs_) {
+    for (VersionedPageFile* file : attr->CommitCompaction()) {
+      superseded.files.push_back(file);
+    }
+  }
   generation_ = next_gen;
   // Publish the new generation before checkpointing, so the swap is
   // visible even if the checkpoint write fails: pinned readers keep the
-  // old generation's wrappers (still alive in versioned_all_); new
-  // snapshots see the compacted files.
+  // old generation's wrappers (alive in versioned_all_ until every pin is
+  // at or past this epoch); new snapshots see the compacted files.
+  if (epochs_ != nullptr && !superseded.files.empty()) {
+    superseded.epoch = epochs_->write_epoch();
+    retired_.push_back(std::move(superseded));
+  }
   PublishSnapshot();
   return Checkpoint();
 }
@@ -563,24 +591,38 @@ Status Database::ReplayLog(const std::vector<LogRecord>& records) {
   for (const LogRecord& rec : records) {
     if (rec.type == LogRecordType::kAbort) aborted.push_back(rec.ref_lsn);
   }
-  // Pass 2: store-level redo in lsn order.  Committed records are applied
-  // at their exact logged locations (verify-or-write, so a record whose
-  // apply already ran — fully or partially — converges to the same bytes);
-  // aborted records are inverted, restoring delete victims from their
-  // logged preimages.  CompactCommit and Abort records need no redo: the
-  // facilities are rebuilt from the store afterwards.
+  auto rolled_back = [&](const LogRecord& rec) {
+    return std::find(aborted.begin(), aborted.end(), rec.lsn) !=
+           aborted.end();
+  };
+  // Pass 2: whether each object ends present.  Committed inserts and
+  // aborted deletes make it present; the rest make it absent.
+  std::unordered_map<uint64_t, bool> ends_present;
   for (const LogRecord& rec : records) {
-    const bool rolled_back =
-        std::find(aborted.begin(), aborted.end(), rec.lsn) != aborted.end();
+    const bool undo = rolled_back(rec);
+    for (const LogEntry& e : rec.inserts) ends_present[e.oid.value()] = !undo;
+    for (const LogEntry& e : rec.deletes) ends_present[e.oid.value()] = undo;
+  }
+  // Pass 3: store-level redo in lsn order.  Each entry is applied at its
+  // exact logged location (verify-or-write, so a record whose apply
+  // already ran — fully or partially — converges to the same bytes).  An
+  // object is materialized only if it ends present: a later insert may
+  // have reused the space of one that a later record deletes, and the two
+  // need not fit a page together.  Its slot is still reserved, so the
+  // page's later slots replay in sequence.  CompactCommit and Abort records
+  // need no redo: the facilities are rebuilt from the store afterwards.
+  auto redo = [&](const LogEntry& e, bool present) {
+    return present && ends_present[e.oid.value()]
+               ? store_->ReplayEnsurePresent(e.oid, e.sets)
+               : store_->ReplayEnsureAbsent(e.oid);
+  };
+  for (const LogRecord& rec : records) {
+    const bool undo = rolled_back(rec);
     for (const LogEntry& e : rec.inserts) {
-      SIGSET_RETURN_IF_ERROR(rolled_back
-                                 ? store_->ReplayEnsureAbsent(e.oid)
-                                 : store_->ReplayEnsurePresent(e.oid, e.sets));
+      SIGSET_RETURN_IF_ERROR(redo(e, !undo));
     }
     for (const LogEntry& e : rec.deletes) {
-      SIGSET_RETURN_IF_ERROR(rolled_back
-                                 ? store_->ReplayEnsurePresent(e.oid, e.sets)
-                                 : store_->ReplayEnsureAbsent(e.oid));
+      SIGSET_RETURN_IF_ERROR(redo(e, undo));
     }
   }
   return Status::OK();

@@ -365,6 +365,9 @@ class Database {
   // Publishes the committed state as a new epoch (no-op without
   // snapshots).  Called after every successful mutation.
   void PublishSnapshot();
+  // Destroys the wrappers a compaction superseded once no pin can still
+  // read them: every pin is at or past the epoch published at the swap.
+  void FreeRetiredWrappers();
 
   StorageManager* storage_;
   Options options_;
@@ -375,11 +378,21 @@ class Database {
   PageFile* manifest_file_ = nullptr;
   PageFile* sketch_file_ = nullptr;
   // Snapshot machinery (null/empty unless enable_snapshots).  The wrapper
-  // pool owns every CoW wrapper ever created — including superseded
-  // generations, which pinned snapshots may still read — so it must
-  // outlive the facilities below (declared first = destroyed last).
+  // pool owns every live CoW wrapper — including a superseded generation's
+  // until no pinned snapshot can read it — so it must outlive the
+  // facilities below (declared first = destroyed last).
+  struct Versioned {
+    std::unique_ptr<VersionedPageFile> file;
+    uint64_t reclaimer = 0;  // EpochManager handle
+  };
+  // Wrappers a compaction superseded, and the epoch published at the swap.
+  struct Retired {
+    uint64_t epoch = 0;
+    std::vector<VersionedPageFile*> files;
+  };
   std::unique_ptr<EpochManager> epochs_;
-  std::vector<std::unique_ptr<VersionedPageFile>> versioned_all_;
+  std::vector<Versioned> versioned_all_;
+  std::vector<Retired> retired_;
   VersionedPageFile* v_objects_ = nullptr;
   std::unique_ptr<MultiObjectStore> store_;
   std::unique_ptr<WriteAheadLog> wal_;

@@ -1,6 +1,7 @@
 #include "db/epoch.h"
 
 #include <utility>
+#include <vector>
 
 namespace sigsetdb {
 
@@ -108,9 +109,21 @@ uint64_t EpochManager::OldestPinned() const {
   return pins_.begin()->first;
 }
 
-void EpochManager::RegisterReclaimer(ReclaimFn fn) {
+uint64_t EpochManager::RegisterReclaimer(ReclaimFn fn) {
   std::lock_guard<std::mutex> lock(mu_);
-  reclaimers_.push_back(std::move(fn));
+  reclaimers_.emplace_back(next_reclaimer_, std::move(fn));
+  return next_reclaimer_++;
+}
+
+void EpochManager::UnregisterReclaimer(uint64_t id) {
+  std::lock_guard<std::mutex> pass(reclaim_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(reclaimers_, [id](const auto& r) { return r.first == id; });
+}
+
+size_t EpochManager::reclaimer_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return reclaimers_.size();
 }
 
 uint64_t EpochManager::pinned_count() const {
@@ -122,7 +135,7 @@ uint64_t EpochManager::pinned_count() const {
 
 uint64_t EpochManager::RunReclaimers(uint64_t oldest) {
   std::lock_guard<std::mutex> pass(reclaim_mu_);
-  std::vector<ReclaimFn> fns;
+  std::vector<std::pair<uint64_t, ReclaimFn>> fns;
   Gauge* backlog = nullptr;
   Counter* reclaimed = nullptr;
   {
@@ -138,7 +151,7 @@ uint64_t EpochManager::RunReclaimers(uint64_t oldest) {
     backlog->Set(static_cast<double>(published - oldest));
   }
   uint64_t freed = 0;
-  for (const ReclaimFn& fn : fns) freed += fn(oldest);
+  for (const auto& [id, fn] : fns) freed += fn(oldest);
   total_reclaimed_.fetch_add(freed, std::memory_order_relaxed);
   if (reclaimed != nullptr && freed > 0) reclaimed->Increment(freed);
   return freed;

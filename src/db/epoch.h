@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -105,7 +106,12 @@ class EpochManager {
   // Oldest pinned epoch, or published() when nothing is pinned.
   uint64_t OldestPinned() const;
 
-  void RegisterReclaimer(ReclaimFn fn);
+  // Adds `fn` to every later reclamation pass; returns its handle.
+  uint64_t RegisterReclaimer(ReclaimFn fn);
+  // Drops handle `id`.  Takes reclaim_mu_, so no pass is running when it
+  // returns and the callback's target may be destroyed.
+  void UnregisterReclaimer(uint64_t id);
+  size_t reclaimer_count() const;
 
   // Runs one reclamation pass synchronously (deterministic tests).
   // Returns the number of versions freed across all registered callbacks.
@@ -136,7 +142,9 @@ class EpochManager {
   std::condition_variable cv_;
   std::shared_ptr<const SnapshotState> state_;       // guarded by mu_
   std::map<uint64_t, uint64_t> pins_;                // epoch -> pin count
-  std::vector<ReclaimFn> reclaimers_;                // guarded by mu_
+  // (handle, callback), guarded by mu_.
+  std::vector<std::pair<uint64_t, ReclaimFn>> reclaimers_;
+  uint64_t next_reclaimer_ = 0;  // guarded by mu_
   bool work_pending_ = false;
   bool stop_ = false;
   // Telemetry sinks (guarded by mu_; all null until SetMetrics).

@@ -101,7 +101,8 @@ StatusOr<std::unique_ptr<IndexedAttribute>> IndexedAttribute::Pin(
                          files[kBssfOid], shape.signatures, shape.live));
   }
   if (published.spec.maintain_nix) {
-    SIGSET_RETURN_IF_ERROR(attr->OpenNix(files[kNix], shape));
+    SIGSET_RETURN_IF_ERROR(
+        attr->OpenNix(files[kNix], shape, /*validate=*/false));
   }
   return attr;
 }
@@ -139,9 +140,11 @@ Status IndexedAttribute::Adopt(
   return Status::OK();
 }
 
-Status IndexedAttribute::OpenNix(PageFile* file, const Shape& shape) {
+Status IndexedAttribute::OpenNix(PageFile* file, const Shape& shape,
+                                 bool validate) {
   SIGSET_ASSIGN_OR_RETURN(
-      nix_, NestedIndex::CreateFromExisting(
+      nix_, (validate ? NestedIndex::CreateFromExisting
+                      : NestedIndex::CreateReadView)(
                 file, spec_.nix_fanout, static_cast<PageId>(shape.nix_root),
                 static_cast<uint32_t>(shape.nix_height), shape.nix_leaves,
                 shape.nix_internal, shape.nix_overflow));
@@ -194,7 +197,9 @@ Status IndexedAttribute::Open(uint64_t generation,
     }
     shape_.elements = shape.elements;
     SIGSET_RETURN_IF_ERROR(Adopt(files, shape.signatures, &ssf_, &bssf_));
-    if (spec_.maintain_nix) SIGSET_RETURN_IF_ERROR(OpenNix(files[kNix], shape));
+    if (spec_.maintain_nix) {
+      SIGSET_RETURN_IF_ERROR(OpenNix(files[kNix], shape, /*validate=*/true));
+    }
   }
   Configure();
   return Status::OK();
@@ -287,13 +292,19 @@ Status IndexedAttribute::Compact(uint64_t generation) {
                &next_bssf_);
 }
 
-void IndexedAttribute::CommitCompaction() {
-  if (next_ssf_ == nullptr && next_bssf_ == nullptr) return;
+std::vector<VersionedPageFile*> IndexedAttribute::CommitCompaction() {
+  if (next_ssf_ == nullptr && next_bssf_ == nullptr) return {};
   ssf_ = std::move(next_ssf_);
   bssf_ = std::move(next_bssf_);
-  std::copy(next_versions_.begin(), next_versions_.begin() + kNix,
-            versions_.begin());
+  std::vector<VersionedPageFile*> superseded;
+  for (int f = 0; f < kNix; ++f) {
+    if (versions_[f] != nullptr && versions_[f] != next_versions_[f]) {
+      superseded.push_back(versions_[f]);
+    }
+    versions_[f] = next_versions_[f];
+  }
   Configure();
+  return superseded;
 }
 
 Status IndexedAttribute::Rebuild(uint64_t generation,

@@ -108,9 +108,10 @@ class IndexedAttribute {
   Published Publish() const;
 
   // Densely rewrites the SSF/BSSF files into `generation`'s files; nothing
-  // is swapped until CommitCompaction.
+  // is swapped until CommitCompaction, which returns the CoW wrappers it
+  // superseded (none with snapshots off).
   Status Compact(uint64_t generation);
-  void CommitCompaction();
+  std::vector<VersionedPageFile*> CommitCompaction();
 
   // Rebuilds every facility and counter from a live scan of the recovered
   // store, overwriting whatever the crashed run left in the files.
@@ -164,7 +165,9 @@ class IndexedAttribute {
   Status Adopt(const Files& files, uint64_t signatures,
                std::unique_ptr<SequentialSignatureFile>* ssf,
                std::unique_ptr<BitSlicedSignatureFile>* bssf) const;
-  Status OpenNix(PageFile* file, const Shape& shape);
+  // NIX over `file` with `shape`: recovery's full structural walk when
+  // `validate`, else a pinned view that trusts the published shape.
+  Status OpenNix(PageFile* file, const Shape& shape, bool validate);
   // Empty facilities over the non-null entries of `files`.
   Status CreateEmpty(const Files& files);
   // Applies the settings to the current SSF/BSSF.

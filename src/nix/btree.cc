@@ -412,6 +412,22 @@ StatusOr<std::unique_ptr<BTree>> BTree::CreateResetting(PageFile* file,
 StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
     PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
     uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
+  SIGSET_ASSIGN_OR_RETURN(
+      std::unique_ptr<BTree> tree,
+      CreateReadView(file, max_fanout, root, height, leaf_pages,
+                     internal_pages, overflow_pages));
+  // Full structural walk: a crash after the checkpoint can leave the pages
+  // ahead of this (stale) metadata; refuse to serve such a tree rather than
+  // risk wrong answers.
+  SIGSET_RETURN_IF_ERROR(tree->ValidateStructure());
+  // Recovery I/O is setup, not an experiment cost.
+  file->stats().Reset();
+  return tree;
+}
+
+StatusOr<std::unique_ptr<BTree>> BTree::CreateReadView(
+    PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
   if (max_fanout < 2) {
     return Status::InvalidArgument("fanout must be at least 2");
   }
@@ -432,11 +448,6 @@ StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
       (height > 0 && type != kInternalType)) {
     return Status::Corruption("recovered root has wrong node type");
   }
-  // Full structural walk: a crash after the checkpoint can leave the pages
-  // ahead of this (stale) metadata; refuse to serve such a tree rather than
-  // risk wrong answers.
-  SIGSET_RETURN_IF_ERROR(tree->ValidateStructure());
-  // Recovery I/O is setup, not an experiment cost.
   file->stats().Reset();
   return tree;
 }

@@ -74,11 +74,18 @@ class BTree {
 
   // Reopens a tree over a previously populated file.  The structural
   // metadata (root page, height, page counts) comes from the manifest
-  // written by SetIndex::Checkpoint().
+  // written by SetIndex::Checkpoint().  Recovery walks the whole tree
+  // (ValidateStructure): a crash can leave pages ahead of the manifest.
   static StatusOr<std::unique_ptr<BTree>> CreateFromExisting(
       PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
       uint64_t leaf_pages, uint64_t internal_pages,
       uint64_t overflow_pages = 0);
+
+  // A tree over a snapshot's fixed-epoch view: the shape was published
+  // with the epoch, so only the root's node type is checked (one read).
+  static StatusOr<std::unique_ptr<BTree>> CreateReadView(
+      PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+      uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages);
 
   // The current root page id (persisted at checkpoint time).
   PageId root() const { return root_; }

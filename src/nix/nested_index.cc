@@ -58,15 +58,28 @@ StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::CreateResetting(
 StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::CreateFromExisting(
     PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
     uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
-  SIGSET_ASSIGN_OR_RETURN(
-      std::unique_ptr<BTree> tree,
-      BTree::CreateFromExisting(file, max_fanout, root, height, leaf_pages,
-                                internal_pages, overflow_pages));
-  std::unique_ptr<NestedIndex> index(new NestedIndex(std::move(tree)));
+  return Reopen(file, BTree::CreateFromExisting(file, max_fanout, root,
+                                                height, leaf_pages,
+                                                internal_pages,
+                                                overflow_pages));
+}
+
+StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::CreateReadView(
+    PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
+  return Reopen(file, BTree::CreateReadView(file, max_fanout, root, height,
+                                            leaf_pages, internal_pages,
+                                            overflow_pages));
+}
+
+StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::Reopen(
+    PageFile* file, StatusOr<std::unique_ptr<BTree>> tree) {
+  SIGSET_RETURN_IF_ERROR(tree.status());
+  std::unique_ptr<NestedIndex> index(new NestedIndex(std::move(tree).value()));
   // Load the persisted empty-set roster into the in-memory mirror once, at
   // open — query-time consultation is then I/O-free, so the paper-pinned
   // rc·Dq lookup counts are untouched.  This read is setup, like the
-  // structural validation above it; reset the counters afterwards.
+  // tree's open checks; reset the counters afterwards.
   SIGSET_ASSIGN_OR_RETURN(index->empty_oids_,
                           index->tree_->Lookup(kEmptySetKey));
   file->stats().Reset();

@@ -66,6 +66,13 @@ class NestedIndex : public SetAccessFacility {
       uint64_t leaf_pages, uint64_t internal_pages,
       uint64_t overflow_pages = 0);
 
+  // An index over a snapshot's fixed-epoch view of a published shape:
+  // BTree::CreateReadView's root check plus the ∅-roster lookup, about
+  // height + 2 reads, instead of the recovery walk.
+  static StatusOr<std::unique_ptr<NestedIndex>> CreateReadView(
+      PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+      uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages);
+
   const std::string& name() const override { return name_; }
 
   // The write path: aggregates the batch's posting adds/removes per
@@ -107,6 +114,10 @@ class NestedIndex : public SetAccessFacility {
 
  private:
   explicit NestedIndex(std::unique_ptr<BTree> tree) : tree_(std::move(tree)) {}
+
+  // Wraps `tree`, reopened over `file`, and loads the persisted ∅ roster.
+  static StatusOr<std::unique_ptr<NestedIndex>> Reopen(
+      PageFile* file, StatusOr<std::unique_ptr<BTree>> tree);
 
   // Tree lookup that treats the reserved roster key as an ordinary absent
   // element: the descent still happens (and is charged), the postings are

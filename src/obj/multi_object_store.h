@@ -8,16 +8,29 @@
 // attributes (`courses`, `hobbies`), each indexed by its own access
 // facility; a one-attribute store is the paper's single-attribute object
 // file.
+//
+// Space reuse: a delete leaves a tombstone and frees its record's bytes.
+// An insert goes to the page where a delete most recently freed enough
+// room for it, never the tail page; else to the tail page; else to a fresh
+// page.  Either page's heap is compacted when the record fits only after
+// compaction, which a page without deletes never needs.  A record
+// always takes a fresh slot number, so no OID is ever handed out twice and
+// a stale facility entry resolves to kNotFound.  The room list lives in
+// memory: after a reopen, pages freed since the reopen are refilled.  An
+// insert costs one page read and one page write either way.
 
 #ifndef SIGSET_OBJ_MULTI_OBJECT_STORE_H_
 #define SIGSET_OBJ_MULTI_OBJECT_STORE_H_
 
 #include <functional>
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "obj/object.h"
 #include "obj/oid.h"
 #include "storage/page_file.h"
+#include "storage/slotted_page.h"
 
 namespace sigsetdb {
 
@@ -36,7 +49,8 @@ class MultiObjectStore {
   // the paper's schema).
   MultiObjectStore(PageFile* file, uint16_t num_attributes);
 
-  // Appends an object; `attr_values.size()` must equal num_attributes().
+  // Stores an object (see "Space reuse" above); `attr_values.size()` must
+  // equal num_attributes().
   StatusOr<Oid> Insert(const std::vector<ElementSet>& attr_values);
 
   // Fetches an object (one page read).  A non-null `io` receives the charge
@@ -50,30 +64,36 @@ class MultiObjectStore {
 
   // Removes the object (one page read + one page write).  The OID becomes
   // dangling; access facilities are responsible for their own bookkeeping.
+  // Unless the page is the tail page, it becomes the first place the next
+  // inserts look for room.
   Status Delete(Oid oid);
 
   // --- Write-ahead-log support -------------------------------------------
   // OIDs are physical, so the WAL must log the OID an insert WILL get
   // before touching the store (log-before-apply); these predict it by
-  // simulating the append on a scratch copy of the tail page.
+  // simulating Insert's choice: the room list from memory, the tail page
+  // on a scratch copy.
 
   // The OID Insert(attr_values) would assign right now.
   StatusOr<Oid> PeekNextOid(const std::vector<ElementSet>& attr_values) const;
 
-  // The OIDs a sequence of Inserts would assign (simulates page fills and
-  // fresh-page starts across the whole batch).
+  // The OIDs a sequence of Inserts would assign (simulates room-page and
+  // tail-page fills and fresh-page starts across the whole batch).
   StatusOr<std::vector<Oid>> PeekOids(
       const std::vector<std::vector<ElementSet>>& objects) const;
 
   // Recovery redo: make the object at exactly `oid` exist with
   // `attr_values`.  Verifies if already present (idempotent), appends if
-  // the slot is next in sequence, resurrects if tombstoned (aborted
-  // delete); kCorruption if the slot holds a different record or is out of
-  // sequence.
+  // the slot is next in sequence, fills the slot if tombstoned (an aborted
+  // delete, or a slot ReplayEnsureAbsent reserved), compacting the page
+  // when the record fits only after compaction; kCorruption if the slot
+  // holds a different record or is out of sequence.
   Status ReplayEnsurePresent(Oid oid,
                              const std::vector<ElementSet>& attr_values);
 
-  // Recovery redo: make `oid` not exist (no-op when it already doesn't).
+  // Recovery redo: make `oid` not exist.  A slot next in sequence is
+  // reserved as a tombstone, so the page's later slots replay in sequence
+  // even when this record is never materialized.
   Status ReplayEnsureAbsent(Oid oid);
 
   // Scans every live object in physical order.  Recovery rebuilds the
@@ -96,10 +116,36 @@ class MultiObjectStore {
   IoStats& stats() const { return file_->stats(); }
 
  private:
+  // What Insert knows of a page in the room list without reading it.
+  struct Room {
+    PageId page = kInvalidPage;
+    uint16_t free = 0;       // SlottedPage::CompactedFreeSpace()
+    uint16_t num_slots = 0;  // the slot number its next record gets
+  };
+  using Placed = std::unordered_map<PageId, Room>;
+
+  // The most recently freed room page that can take a record of `len`
+  // bytes, or null.  `placed` overrides the rooms a simulated batch has
+  // already filled (null for a real insert).
+  const Room* FindRoom(size_t len, const Placed* placed) const;
+  // Records page `page`'s room after a delete (`freed`: it moves to the
+  // back of the list) or an insert; a page too full for the smallest
+  // record leaves the list.
+  void NoteRoom(PageId page, const SlottedPage& sp, bool freed);
+  // Loads `oid`'s page for replay, allocating and formatting it if needed,
+  // and makes the slot exist (a next-in-sequence slot becomes a
+  // tombstone).  `*changed` tells whether `*page` differs from the file.
+  Status LoadReplaySlot(Oid oid, Page* page, bool* changed);
+  // Writes a replayed page and drops it from the room list.
+  Status WriteReplayed(Oid oid, const Page& page);
+
   PageFile* file_;
   uint16_t num_attributes_;
   PageId tail_page_ = kInvalidPage;
   uint64_t num_objects_ = 0;
+  // Room pages, least recently freed first, and where each one sits.
+  std::list<Room> rooms_;
+  std::unordered_map<PageId, std::list<Room>::iterator> room_of_;
 };
 
 }  // namespace sigsetdb

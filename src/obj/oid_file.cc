@@ -163,9 +163,21 @@ StatusOr<std::vector<uint64_t>> OidFile::MarkDeletedMany(
     SIGSET_RETURN_IF_ERROR(file_->Write(p, image));
     if (p == tail_page_) tail_ = image;
   }
-  for (uint64_t slot : slots) free_slots_.push_back(slot);
   num_live_ -= oids.size();
   return slots;
+}
+
+void OidFile::ReleaseSlots(const std::vector<uint64_t>& slots) {
+  free_slots_.insert(free_slots_.end(), slots.begin(), slots.end());
+}
+
+std::vector<uint64_t> OidFile::ClaimFreeSlots(size_t n) {
+  n = std::min(n, free_slots_.size());
+  std::vector<uint64_t> claimed(free_slots_.end() - static_cast<ptrdiff_t>(n),
+                                free_slots_.end());
+  std::reverse(claimed.begin(), claimed.end());
+  free_slots_.resize(free_slots_.size() - n);
+  return claimed;
 }
 
 Status OidFile::SetMany(
@@ -195,7 +207,6 @@ Status OidFile::SetMany(
       return Status::Internal("SetMany target slot is not tombstoned");
     }
     page.WriteAt<uint64_t>(offset, oid.value());
-    DropFreeSlot(slot);
     ++num_live_;
   }
   if (loaded != kInvalidPage) {
@@ -222,11 +233,6 @@ StatusOr<std::vector<std::pair<uint64_t, Oid>>> OidFile::LiveEntries() const {
     }
   }
   return out;
-}
-
-void OidFile::DropFreeSlot(uint64_t slot) {
-  auto it = std::find(free_slots_.begin(), free_slots_.end(), slot);
-  if (it != free_slots_.end()) free_slots_.erase(it);
 }
 
 }  // namespace sigsetdb

@@ -9,9 +9,13 @@
 // The delete flag doubles as the persistent free-slot record: recovery
 // rescans the used pages and rebuilds the in-memory free list from the
 // flags, so tombstoned slots can be handed back out to later inserts
-// (SetMany overwrites the entry in place and clears the flag).  The
-// entry count `num_entries_` stays a high-water mark — the checkpoint
-// format is unchanged — while `num_live_` tracks the unflagged population.
+// (SetMany overwrites the entry in place and clears the flag).  A slot
+// tombstoned at run time joins the free list only when its facility
+// releases it (ReleaseSlots), which BSSF does once the old signature's
+// bits are cleared; a facility hands a slot out by claiming it
+// (ClaimFreeSlots) before writing into it.  The entry count
+// `num_entries_` stays a high-water mark — the checkpoint format is
+// unchanged — while `num_live_` tracks the unflagged population.
 
 #ifndef SIGSET_OBJ_OID_FILE_H_
 #define SIGSET_OBJ_OID_FILE_H_
@@ -72,24 +76,33 @@ class OidFile {
   // dirty page.  For one oid that is (slot/O_d + 1) page reads + 1 write;
   // averaged over uniform victims, the model's UC_D = SC_OID/2.  Fails
   // without writing anything if any oid is absent (or listed twice).
-  // Returns the tombstoned slots aligned with the input order; they also
-  // join the free list for reuse.
+  // Returns the tombstoned slots aligned with the input order.  They do
+  // not join the free list until the caller passes them to ReleaseSlots.
   StatusOr<std::vector<uint64_t>> MarkDeletedMany(const std::vector<Oid>& oids);
 
+  // Appends tombstoned `slots` to the free list, in order (the last one is
+  // handed out first).  The caller vouches that each slot's facility data
+  // is ready for reuse.
+  void ReleaseSlots(const std::vector<uint64_t>& slots);
+
+  // Removes up to `n` slots from the back of the free list (most recently
+  // freed first) and returns them in that order.  A claimed slot stays
+  // tombstoned until SetMany publishes it; if the write in between fails,
+  // it is off the list until the next Recover.
+  std::vector<uint64_t> ClaimFreeSlots(size_t n);
+
   // Overwrites each tombstoned entry `slot` with its `oid` (clearing the
-  // delete flag) and removes the slot from the free list, reading and
-  // writing each distinct page once: one page read-modify-write for one
-  // entry.  This is the commit point of slot reuse: callers deposit the
-  // new signature first, then SetMany publishes the slot.  `entries` must
-  // be sorted by slot.
+  // delete flag), reading and writing each distinct page once: one page
+  // read-modify-write for one entry.  This is the commit point of slot
+  // reuse: callers claim the slot, deposit the new signature, then SetMany
+  // publishes it.  `entries` must be sorted by slot.
   Status SetMany(const std::vector<std::pair<uint64_t, Oid>>& entries);
 
   // All live (unflagged) entries as (slot, oid), in slot order — one read
   // per used page.  This is the compaction source stream.
   StatusOr<std::vector<std::pair<uint64_t, Oid>>> LiveEntries() const;
 
-  // Tombstoned slots available for reuse (most recently freed last; callers
-  // take from the back and commit with SetMany).
+  // Tombstoned slots available for reuse (most recently freed last).
   const std::vector<uint64_t>& free_slots() const { return free_slots_; }
 
   // Total entries appended (including delete-flagged ones).
@@ -113,7 +126,6 @@ class OidFile {
     return static_cast<PageId>((num_entries_ + kOidsPerPage - 1) /
                                kOidsPerPage);
   }
-  void DropFreeSlot(uint64_t slot);
 
   PageFile* file_;
   uint64_t num_entries_ = 0;

@@ -1,6 +1,7 @@
 #include "sig/bssf.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sig/kernels.h"
 #include "util/failpoint.h"
@@ -80,12 +81,40 @@ BitSlicedSignatureFile::CreateFromExisting(const SignatureConfig& config,
   }
   SIGSET_RETURN_IF_ERROR(bssf->oid_file_.Recover(num_signatures));
   bssf->num_signatures_ = num_signatures;
-  // Rebuild the slice-page summaries from the recovered store.  Like the
-  // rest of recovery, this scan is setup, not an experiment cost — stats
-  // are reset below.
+  // Sparse writes need every free slot's column all-zero.  A crash between
+  // a remove's tombstone and its clears, or after an append the checkpoint
+  // does not count, leaves stray bits on dead columns; the scan below
+  // clears the columns of every slot that is not live, one 64-bit word at
+  // a time, and writes only the pages that change.
+  const uint32_t words_per_page = kPageBits / 64;
+  std::vector<uint64_t> live(
+      static_cast<uint64_t>(bssf->pages_per_slice_) * words_per_page, 0);
+  std::fill(live.begin(), live.begin() + num_signatures / 64, ~uint64_t{0});
+  if (num_signatures % 64 != 0) {
+    live[num_signatures / 64] = (uint64_t{1} << (num_signatures % 64)) - 1;
+  }
+  for (uint64_t slot : bssf->oid_file_.free_slots()) {
+    live[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+  }
+  // The same scan rebuilds the slice-page summaries.  Like the rest of
+  // recovery, it is setup, not an experiment cost — stats are reset below.
   Page page;
   for (uint64_t p = 0; p < expected_pages; ++p) {
     SIGSET_RETURN_IF_ERROR(slice_file->Read(static_cast<PageId>(p), &page));
+    const uint64_t* mask =
+        live.data() + (p % bssf->pages_per_slice_) * words_per_page;
+    bool changed = false;
+    for (uint32_t w = 0; w < words_per_page; ++w) {
+      uint64_t word;
+      std::memcpy(&word, page.data() + w * 8, 8);
+      if ((word & ~mask[w]) == 0) continue;
+      word &= mask[w];
+      std::memcpy(page.data() + w * 8, &word, 8);
+      changed = true;
+    }
+    if (changed) {
+      SIGSET_RETURN_IF_ERROR(slice_file->Write(static_cast<PageId>(p), page));
+    }
     bssf->skip_index_.Update(static_cast<PageId>(p), page);
     bssf->hot_tier_.Update(static_cast<PageId>(p), page);
   }
@@ -159,8 +188,9 @@ Status BitSlicedSignatureFile::BulkLoad(const std::vector<Oid>& oids,
 Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
   // Phase 1 — tombstone the removes with one OID-file scan (the commit
   // point making their slots invisible) and collect the batch's bit
-  // changes: clears for removed columns, full columns for reused slots,
-  // set bits (or full columns in kTouchAllSlices mode) for fresh appends.
+  // changes: clears for removed columns, then the inserts' set bits (full
+  // columns in kTouchAllSlices mode).  Every insert lands on an all-zero
+  // column or on one this batch clears, so sparse writes are lossless.
   std::vector<Oid> remove_oids;
   std::vector<const ElementSet*> remove_sets;
   std::vector<const BatchOp*> inserts;
@@ -171,6 +201,12 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
     } else {
       inserts.push_back(&op);
     }
+  }
+  const uint64_t reusable = remove_oids.size() + oid_file_.free_slots().size();
+  const uint64_t fresh = inserts.size() - std::min<uint64_t>(inserts.size(),
+                                                             reusable);
+  if (num_signatures_ + fresh > capacity_) {
+    return Status::OutOfRange("bssf capacity exhausted");
   }
   // One integer per bit change: page << 32 | bit-in-page << 1 | value.
   // Sorting them orders the changes by page and, for one bit, puts a
@@ -183,45 +219,39 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
     changes.push_back(page << 32 | (slot % kPageBits) << 1 |
                       static_cast<uint64_t>(set_bit));
   };
+  std::vector<uint64_t> removed;
   if (!remove_oids.empty()) {
-    SIGSET_ASSIGN_OR_RETURN(std::vector<uint64_t> slots,
-                            oid_file_.MarkDeletedMany(remove_oids));
-    // Clearing the removed signatures' set bits returns each freed column
-    // to all-zero, which sparse appends and subset scans rely on.
-    for (size_t i = 0; i < slots.size(); ++i) {
+    SIGSET_ASSIGN_OR_RETURN(removed, oid_file_.MarkDeletedMany(remove_oids));
+    for (size_t i = 0; i < removed.size(); ++i) {
       BitVector sig = MakeSetSignature(*remove_sets[i], config_);
       sig.ForEachSetBit([&](size_t j) {
-        add_change(static_cast<uint32_t>(j), slots[i], false);
+        add_change(static_cast<uint32_t>(j), removed[i], false);
       });
     }
   }
-  // Phase 2 — assign slots: freed slots first, most recently freed first,
-  // then fresh appends off the high-water mark.
-  const std::vector<uint64_t>& free_slots = oid_file_.free_slots();
-  size_t reuse = std::min(inserts.size(), free_slots.size());
-  uint64_t fresh = inserts.size() - reuse;
-  if (num_signatures_ + fresh > capacity_) {
-    return Status::OutOfRange("bssf capacity exhausted");
-  }
+  // Phase 2 — assign slots, most recently freed first: this batch's
+  // removed slots (last removed first), then the free list, then fresh
+  // appends off the high-water mark.  Free-list slots are claimed before
+  // any write, so a failed write can never leave dirty bits on a listed
+  // slot.
+  const size_t from_removed = std::min(inserts.size(), removed.size());
+  const std::vector<uint64_t> claimed =
+      oid_file_.ClaimFreeSlots(inserts.size() - from_removed);
+  const size_t reuse = from_removed + claimed.size();
   std::vector<std::pair<uint64_t, Oid>> reused_entries;
   reused_entries.reserve(reuse);
+  const bool full_column = insert_mode_ == BssfInsertMode::kTouchAllSlices;
   for (size_t i = 0; i < inserts.size(); ++i) {
     BitVector sig = MakeSetSignature(inserts[i]->set_value, config_);
     uint64_t slot;
-    bool full_column;
-    if (i < reuse) {
-      // A reused slot is written as a full column regardless of insert
-      // mode: a stale 1 from the previous occupant (or from a crash between
-      // a remove's tombstone and its clears) in a slice where the new
-      // signature is 0 would wrongly exclude this object from subset
-      // candidates, so every slice bit is set-or-cleared explicitly.
-      slot = free_slots[free_slots.size() - 1 - i];
-      reused_entries.emplace_back(slot, inserts[i]->oid);
-      full_column = true;
+    if (i < from_removed) {
+      slot = removed[removed.size() - 1 - i];
+    } else if (i < reuse) {
+      slot = claimed[i - from_removed];
     } else {
       slot = num_signatures_ + (i - reuse);
-      full_column = insert_mode_ == BssfInsertMode::kTouchAllSlices;
     }
+    if (i < reuse) reused_entries.emplace_back(slot, inserts[i]->oid);
     if (full_column) {
       for (uint32_t j = 0; j < config_.f; ++j) {
         add_change(j, slot, sig.Test(j));
@@ -254,6 +284,10 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
     hot_tier_.Update(page_no, page);
     begin = end;
   }
+  // The removed columns are clear now; the slots this batch did not reuse
+  // join the free list.
+  oid_file_.ReleaseSlots(std::vector<uint64_t>(
+      removed.begin(), removed.end() - static_cast<ptrdiff_t>(from_removed)));
   // Phase 4 — publish the OID entries (reused slots become live again,
   // fresh slots append page-at-a-time).
   if (!reused_entries.empty()) {

@@ -12,9 +12,11 @@
 // queries), and scanning only s of the zero slices (subset queries).  Both
 // keep completeness — they can only increase the number of candidates.
 //
-// Appends support the paper's worst-case mode (touch all F slices, giving
+// Inserts support the paper's worst-case mode (touch all F slices, giving
 // UC_I = F + 1) and a sparse mode that writes only the m_t one-bit slices,
-// realizing the improvement the paper anticipates in §6.
+// realizing the improvement the paper anticipates in §6.  Sparse writes
+// rest on one invariant: a free slot's column is all-zero (see ApplyBatch
+// and CreateFromExisting).
 //
 // Slice scans optionally parallelize over a ParallelExecutionContext: the
 // needed slices are partitioned into contiguous chunks, each worker AND/OR-
@@ -42,8 +44,9 @@ namespace sigsetdb {
 enum class BssfInsertMode {
   // Read-modify-write every one of the F slices (paper's worst case).
   kTouchAllSlices,
-  // Touch only the slices where the new signature has a 1 bit (appends land
-  // on zero-initialized bits, so skipping zero slices is lossless).
+  // Touch only the slices where the new signature has a 1 bit (every
+  // insert lands on an all-zero column, so skipping zero slices is
+  // lossless).
   kSparse,
 };
 
@@ -59,7 +62,12 @@ class BitSlicedSignatureFile : public SetAccessFacility {
       BssfInsertMode insert_mode = BssfInsertMode::kTouchAllSlices);
 
   // Reopens a facility over previously populated files; `num_signatures`
-  // comes from the manifest written by SetIndex::Checkpoint().
+  // comes from the manifest written by SetIndex::Checkpoint().  The open
+  // scan reads every slice page and zeroes the columns of every slot that
+  // is not live — tombstoned slots and slots at or above `num_signatures`
+  // — so stray bits from a crash mid-remove or from an append the
+  // checkpoint does not count cannot reach a later sparse insert.  Only
+  // pages that change are written; a cleanly closed store writes none.
   static StatusOr<std::unique_ptr<BitSlicedSignatureFile>>
   CreateFromExisting(const SignatureConfig& config, uint64_t capacity,
                      PageFile* slice_file, PageFile* oid_file,
@@ -78,17 +86,17 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   // The write path.  Each dirty slice page is read-modified-written once
   // for the whole batch, combining:
   //   - removes: the OID entries are tombstoned first (the commit point),
-  //     then the signatures' set bits are cleared so each freed column
-  //     returns to all-zero and sparse appends stay sound.  A crash between
-  //     the two leaves a tombstoned slot with stale bits, which is harmless
-  //     because reuse writes the full column;
-  //   - inserts into tombstoned slots: a full column, every slice bit set
-  //     or cleared in every insert mode (F + 1 pages for one insert), so
-  //     stale bits from the previous occupant or from a crash mid-clear can
-  //     never surface as candidates or mask subset candidates;
-  //   - fresh appends: the m_t one-bit slices in kSparse mode (m_t + 1 for
-  //     one insert), all F slices in kTouchAllSlices mode (the paper's
-  //     F + 1, charged per batch instead of per insert).
+  //     then the signatures' set bits are cleared, returning each column to
+  //     all-zero.  A removed slot joins the free list only after those
+  //     clears are written; if a clear fails, the slot stays tombstoned and
+  //     off the list until the next open scan zeroes it;
+  //   - inserts, into this batch's removed slots, then the free list's
+  //     most recently freed slots, then fresh slots off the high-water
+  //     mark: in kSparse mode the m_t one-bit slices (m_t + 1 pages for one
+  //     insert, reused slot or not), in kTouchAllSlices mode all F slices
+  //     (the paper's F + 1, charged per batch instead of per insert).
+  //     Free-list slots are claimed before the first write, so no failure
+  //     can leave a listed slot with bits set.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
   // Re-slots the live columns densely into the target files (slot order
@@ -155,6 +163,10 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   uint64_t num_signatures() const { return num_signatures_; }
   // Signatures not tombstoned (the model's live population after deletes).
   uint64_t num_live() const { return oid_file_.num_live(); }
+  // Tombstoned slots whose all-zero columns the next inserts may reuse.
+  const std::vector<uint64_t>& free_slots() const {
+    return oid_file_.free_slots();
+  }
   uint64_t capacity() const { return capacity_; }
   const SignatureConfig& config() const { return config_; }
 

@@ -162,6 +162,9 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
             CheckSlotSignature(slots[i], *remove_sets[i]));
       }
     }
+    // A refill rewrites the whole signature, so the slots are reusable at
+    // once (this batch's inserts take them first).
+    oid_file_.ReleaseSlots(slots);
   }
   if (inserts.empty()) return Status::OK();
   SIGSET_FAILPOINT("ssf.insert");
@@ -169,16 +172,16 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
   // overwrites the dead one in place (DepositBits writes clear bits too, so
   // no stale bits leak), one signature-page RMW per distinct page, then
   // SetMany publishes the slots with one OID-page RMW per distinct page.
-  // A crash between the two leaves the slots tombstoned: invisible, still
-  // free, and repaired by the next reuse.
-  size_t reuse = std::min(inserts.size(), oid_file_.free_slots().size());
+  // A crash between the two leaves the slots tombstoned and invisible;
+  // recovery's rescan puts them back on the free list.
+  const std::vector<uint64_t> claimed =
+      oid_file_.ClaimFreeSlots(inserts.size());
+  const size_t reuse = claimed.size();
   if (reuse > 0) {
     std::vector<std::pair<uint64_t, const BatchOp*>> refill;
     refill.reserve(reuse);
-    const std::vector<uint64_t>& free_slots = oid_file_.free_slots();
     for (size_t i = 0; i < reuse; ++i) {
-      refill.emplace_back(free_slots[free_slots.size() - 1 - i],
-                          inserts[i]);
+      refill.emplace_back(claimed[i], inserts[i]);
     }
     std::sort(refill.begin(), refill.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });

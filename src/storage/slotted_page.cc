@@ -17,6 +17,44 @@ size_t SlottedPage::FreeSpace() const {
   return heap_start - dir_end - kSlotEntryBytes;
 }
 
+size_t SlottedPage::CompactedFreeSpace() const {
+  const uint16_t slots = num_slots();
+  size_t used = SlotDirOffset(slots) + kSlotEntryBytes;
+  for (uint16_t s = 0; s < slots; ++s) {
+    used += page_->ReadAt<uint16_t>(SlotDirOffset(s) + 2);
+  }
+  return used < kPageSize ? kPageSize - used : 0;
+}
+
+void SlottedPage::Compact() {
+  const Page before = *page_;
+  const uint16_t slots = num_slots();
+  size_t heap_start = kPageSize;
+  for (uint16_t s = 0; s < slots; ++s) {
+    const uint16_t off = before.ReadAt<uint16_t>(SlotDirOffset(s));
+    const uint16_t len = before.ReadAt<uint16_t>(SlotDirOffset(s) + 2);
+    uint16_t new_off = 0;
+    if (len != 0) {
+      heap_start -= len;
+      new_off = static_cast<uint16_t>(heap_start);
+      std::memcpy(page_->data() + new_off, before.data() + off, len);
+    }
+    page_->WriteAt<uint16_t>(SlotDirOffset(s), new_off);
+  }
+  page_->WriteAt<uint16_t>(2, static_cast<uint16_t>(heap_start));
+}
+
+std::optional<uint16_t> SlottedPage::AppendTombstone() {
+  const uint16_t slots = num_slots();
+  if (SlotDirOffset(slots) + kSlotEntryBytes > page_->ReadAt<uint16_t>(2)) {
+    return std::nullopt;
+  }
+  page_->WriteAt<uint16_t>(SlotDirOffset(slots), 0);
+  page_->WriteAt<uint16_t>(SlotDirOffset(slots) + 2, 0);
+  page_->WriteAt<uint16_t>(0, static_cast<uint16_t>(slots + 1));
+  return slots;
+}
+
 std::optional<uint16_t> SlottedPage::Insert(const uint8_t* data, uint16_t len) {
   uint16_t slots = num_slots();
   size_t dir_end = SlotDirOffset(slots);
@@ -56,8 +94,15 @@ bool SlottedPage::Resurrect(uint16_t slot, const uint8_t* data, uint16_t len) {
   if (slot >= num_slots() || len == 0) return false;
   if (page_->ReadAt<uint16_t>(SlotDirOffset(slot) + 2) != 0) return false;
   uint16_t off = page_->ReadAt<uint16_t>(SlotDirOffset(slot));
-  if (off < SlotDirOffset(num_slots()) ||
-      off + static_cast<size_t>(len) > kPageSize) {
+  const size_t dir_end = SlotDirOffset(num_slots());
+  if (off == 0) {
+    // No retained bytes: take the free gap, as Insert would.
+    const size_t heap_start = page_->ReadAt<uint16_t>(2);
+    if (dir_end + len > heap_start) return false;
+    off = static_cast<uint16_t>(heap_start - len);
+    page_->WriteAt<uint16_t>(2, off);
+    page_->WriteAt<uint16_t>(SlotDirOffset(slot), off);
+  } else if (off < dir_end || off + static_cast<size_t>(len) > kPageSize) {
     return false;
   }
   std::memcpy(page_->data() + off, data, len);

@@ -1,5 +1,5 @@
 // SlottedPage: the classic variable-length record page layout used by the
-// object store and the NIX leaf pages.
+// object store.
 //
 // Layout (offsets in bytes):
 //   [0..2)   uint16 num_slots
@@ -8,7 +8,9 @@
 //   ...      free space
 //   [free_space_offset..kPageSize)  record heap (records grow downward)
 //
-// A slot with length 0 is a tombstone.  Records never span pages.
+// A slot with length 0 is a tombstone.  Records never span pages.  Slot
+// numbers are never reused: a tombstone keeps its directory entry, and
+// Compact() reclaims only heap bytes.
 
 #ifndef SIGSET_STORAGE_SLOTTED_PAGE_H_
 #define SIGSET_STORAGE_SLOTTED_PAGE_H_
@@ -25,6 +27,9 @@ namespace sigsetdb {
 // (plus a directory entry) does not fit.
 class SlottedPage {
  public:
+  // Directory bytes per slot.
+  static constexpr size_t kSlotEntryBytes = 4;
+
   // Wraps an existing page without reformatting it.
   explicit SlottedPage(Page* page) : page_(page) {}
 
@@ -36,6 +41,21 @@ class SlottedPage {
   // Bytes available for one more record (including its directory entry).
   size_t FreeSpace() const;
 
+  // FreeSpace() once Compact() has run: the page size less the header, the
+  // directory with one more entry, and the live records.
+  size_t CompactedFreeSpace() const;
+
+  // Packs the live records against the page end, so FreeSpace() becomes
+  // CompactedFreeSpace().  Every slot keeps its number and every live
+  // record its bytes; tombstones lose their retained heap bytes (their
+  // offset becomes 0, which Resurrect reads as "none retained").
+  void Compact();
+
+  // Appends a tombstone directory entry and returns its slot number, or
+  // nullopt if the entry does not fit.  WAL replay uses it to keep a page's
+  // slot numbering when a logged record must not be materialized.
+  std::optional<uint16_t> AppendTombstone();
+
   // Appends a record; returns its slot number, or nullopt if full.
   std::optional<uint16_t> Insert(const uint8_t* data, uint16_t len);
 
@@ -44,17 +64,18 @@ class SlottedPage {
   const uint8_t* Get(uint16_t slot, uint16_t* len) const;
   uint8_t* GetMutable(uint16_t slot, uint16_t* len);
 
-  // Marks `slot` as deleted (space is not reclaimed; callers that need
-  // compaction rebuild the page).
+  // Marks `slot` as deleted.  Its heap bytes stay in place until Compact().
   void Delete(uint16_t slot);
 
-  // Undoes a Delete: rewrites the tombstoned slot's record at its retained
-  // heap offset (Delete zeroes only the length field, so the offset — and
-  // the heap bytes, which are never reclaimed in place — survive).  `len`
-  // must equal the original record length.  Returns false if the slot is
-  // out of range, not a tombstone, or the retained offset cannot hold
-  // `len` bytes.  WAL recovery uses this to restore the victims of an
-  // aborted delete from their logged preimages.
+  // Fills a tombstoned slot with a record.  If the tombstone retains its
+  // heap bytes (Delete zeroes only the length field, and only Compact()
+  // drops the offset), the record is rewritten there and `len` must equal
+  // the original record length.  Otherwise — the page was compacted after
+  // the delete, or AppendTombstone made the slot — the record takes the
+  // free gap.  Returns false if the slot is out of range or not a
+  // tombstone, or the record does not fit (callers may Compact() and
+  // retry).  WAL recovery uses this to restore the victims of an aborted
+  // delete from their logged preimages.
   bool Resurrect(uint16_t slot, const uint8_t* data, uint16_t len);
 
   // Replaces the record in `slot` when the new record has length <= the old
@@ -63,7 +84,6 @@ class SlottedPage {
 
  private:
   static constexpr size_t kHeaderBytes = 4;
-  static constexpr size_t kSlotEntryBytes = 4;
 
   size_t SlotDirOffset(uint16_t slot) const {
     return kHeaderBytes + static_cast<size_t>(slot) * kSlotEntryBytes;

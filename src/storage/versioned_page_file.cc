@@ -1,6 +1,7 @@
 #include "storage/versioned_page_file.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/failpoint.h"
 
@@ -33,6 +34,13 @@ StatusOr<std::unique_ptr<VersionedPageFile>> VersionedPageFile::Wrap(
 }
 
 VersionedPageFile::~VersionedPageFile() {
+  for (VersionNode* spare : {spare_, writer_spare_}) {
+    while (spare != nullptr) {
+      VersionNode* next = spare->next.load(std::memory_order_relaxed);
+      delete spare;
+      spare = next;
+    }
+  }
   for (size_t s = 0; s < kMaxSegments; ++s) {
     Segment* seg = segments_[s].load(std::memory_order_acquire);
     if (seg == nullptr) continue;
@@ -68,6 +76,17 @@ const VersionedPageFile::PageMeta* VersionedPageFile::Meta(PageId id) const {
   return &seg->pages[id & (kSegmentSize - 1)];
 }
 
+VersionedPageFile::VersionNode* VersionedPageFile::NewNode() {
+  if (writer_spare_ == nullptr) {
+    std::lock_guard<std::mutex> lock(spare_mu_);
+    std::swap(writer_spare_, spare_);
+  }
+  VersionNode* node = writer_spare_;
+  if (node == nullptr) return new VersionNode();
+  writer_spare_ = node->next.load(std::memory_order_relaxed);
+  return node;
+}
+
 void VersionedPageFile::PushVersion(PageMeta* meta, const Page& page) {
   const uint64_t we = WriteEpoch();
   VersionNode* head = meta->head.load(std::memory_order_relaxed);
@@ -79,7 +98,7 @@ void VersionedPageFile::PushVersion(PageMeta* meta, const Page& page) {
     std::memcpy(head->page.data(), page.data(), kPageSize);
     return;
   }
-  auto* node = new VersionNode();
+  VersionNode* node = NewNode();
   node->epoch = we;
   std::memcpy(node->page.data(), page.data(), kPageSize);
   node->next.store(head, std::memory_order_relaxed);
@@ -98,7 +117,7 @@ StatusOr<PageId> VersionedPageFile::Allocate() {
   // Install a zeroed node tagged with the write epoch before exposing the
   // page: readers pinned at earlier epochs fall through to the zero-page
   // default, matching "this page did not exist yet".
-  auto* node = new VersionNode();
+  VersionNode* node = NewNode();
   node->epoch = WriteEpoch();
   node->page.Zero();
   node->next.store(nullptr, std::memory_order_relaxed);
@@ -180,6 +199,8 @@ Status VersionedPageFile::Sync() {
 
 uint64_t VersionedPageFile::Reclaim(uint64_t oldest_pinned) {
   uint64_t freed = 0;
+  VersionNode* spares = nullptr;  // this pass's freed nodes
+  VersionNode* last_spare = nullptr;
   const PageId n = num_pages();
   for (PageId id = 0; id < n; ++id) {
     PageMeta* meta = Meta(id, /*create=*/false);
@@ -194,14 +215,23 @@ uint64_t VersionedPageFile::Reclaim(uint64_t oldest_pinned) {
     if (node == nullptr) continue;
     VersionNode* stale = node->next.exchange(nullptr,
                                              std::memory_order_acq_rel);
-    while (stale != nullptr) {
-      VersionNode* next = stale->next.load(std::memory_order_relaxed);
-      delete stale;
-      stale = next;
+    if (stale == nullptr) continue;
+    VersionNode* tail = stale;
+    ++freed;
+    while (VersionNode* next = tail->next.load(std::memory_order_relaxed)) {
+      tail = next;
       ++freed;
     }
+    if (last_spare == nullptr) last_spare = tail;
+    tail->next.store(spares, std::memory_order_relaxed);
+    spares = stale;
   }
   if (freed > 0) {
+    {
+      std::lock_guard<std::mutex> lock(spare_mu_);
+      last_spare->next.store(spare_, std::memory_order_relaxed);
+      spare_ = spares;
+    }
     resident_.fetch_sub(freed, std::memory_order_relaxed);
     reclaimed_.fetch_add(freed, std::memory_order_relaxed);
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace sigsetdb {
@@ -61,6 +62,85 @@ TEST_F(BssfTest, SparseInsertTouchesOnlySetBits) {
   slice_file_.stats().Reset();
   ASSERT_TRUE(bssf_->Insert(MakeOid(0), {1, 2, 3}).ok());
   EXPECT_EQ(slice_file_.stats().page_writes, sig.Count());
+}
+
+// Inserts five objects and removes the third, leaving slot 2 free.
+void FillAndFreeSlotTwo(SetAccessFacility* bssf) {
+  for (uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(bssf->Insert(Oid::FromLocation(static_cast<PageId>(i), 0),
+                             {i, i + 20, i + 40})
+                    .ok());
+  }
+  ASSERT_TRUE(bssf->Remove(Oid::FromLocation(2, 0), {2, 22, 42}).ok());
+}
+
+TEST_F(BssfTest, SparseReusedSlotWritesOnlySetBits) {
+  MakeBssf({64, 2}, 100, BssfInsertMode::kSparse);
+  FillAndFreeSlotTwo(bssf_.get());
+  ASSERT_EQ(bssf_->free_slots(), std::vector<uint64_t>{2});
+  const ElementSet value = {7, 8, 9};
+  const BitVector sig = MakeSetSignature(value, {64, 2});
+  slice_file_.stats().Reset();
+  oid_file_.stats().Reset();
+  ASSERT_TRUE(bssf_->Insert(MakeOid(9), value).ok());
+  // The freed column is all-zero, so the reuse writes the distinct pages
+  // of its set bits (one page per slice here) plus the one OID page: m_t + 1.
+  EXPECT_EQ(bssf_->num_signatures(), 5u);
+  EXPECT_TRUE(bssf_->free_slots().empty());
+  EXPECT_EQ(slice_file_.stats().page_writes, sig.Count());
+  EXPECT_EQ(oid_file_.stats().page_writes, 1u);
+  auto got = bssf_->Candidates(QueryKind::kEquals, value);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->oids, std::vector<Oid>{MakeOid(9)});
+}
+
+TEST_F(BssfTest, TouchAllReusedSlotWritesEverySlice) {
+  MakeBssf({64, 2}, 100, BssfInsertMode::kTouchAllSlices);
+  FillAndFreeSlotTwo(bssf_.get());
+  slice_file_.stats().Reset();
+  oid_file_.stats().Reset();
+  ASSERT_TRUE(bssf_->Insert(MakeOid(9), {7, 8, 9}).ok());
+  // The paper's worst case: F slices + 1 OID page.
+  EXPECT_EQ(bssf_->num_signatures(), 5u);
+  EXPECT_EQ(slice_file_.stats().page_writes, 64u);
+  EXPECT_EQ(oid_file_.stats().page_writes, 1u);
+}
+
+TEST_F(BssfTest, FailedClearKeepsSlotOffFreeListUntilReopenZeroesIt) {
+  const SignatureConfig config{64, 2};
+  MakeBssf(config, 100, BssfInsertMode::kSparse);
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(bssf_->Insert(MakeOid(i), {i, i + 20, i + 40}).ok());
+  }
+  // The remove tombstones slot 1, then fails on its first slice clear.
+  FailpointRegistry::Instance().ArmCountdown("bssf.touch_slice", 1);
+  EXPECT_FALSE(bssf_->Remove(MakeOid(1), {1, 21, 41}).ok());
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_TRUE(bssf_->free_slots().empty());
+  std::vector<PageId> stale_slices;
+  MakeSetSignature({1, 21, 41}, config).ForEachSetBit([&](size_t j) {
+    stale_slices.push_back(static_cast<PageId>(j));
+  });
+  Page page;
+  ASSERT_TRUE(slice_file_.Read(stale_slices[0], &page).ok());
+  ASSERT_NE(page.data()[0] & 0x2, 0) << "the failed clear left no stray bit";
+
+  // Reopen: the slot is free and its column is zero in every slice.
+  bssf_.reset();
+  auto reopened = BitSlicedSignatureFile::CreateFromExisting(
+      config, 100, &slice_file_, &oid_file_, BssfInsertMode::kSparse, 3);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->free_slots(), std::vector<uint64_t>{1});
+  for (PageId p = 0; p < config.f; ++p) {
+    ASSERT_TRUE(slice_file_.Read(p, &page).ok());
+    EXPECT_EQ(page.data()[0] & 0x2, 0) << "slice " << p;
+  }
+  // A sparse reuse of the slot is then exact.
+  ASSERT_TRUE((*reopened)->Insert(MakeOid(7), {50}).ok());
+  auto got = (*reopened)->Candidates(QueryKind::kSubset, {50, 51});
+  ASSERT_TRUE(got.ok());
+  EXPECT_NE(std::find(got->oids.begin(), got->oids.end(), MakeOid(7)),
+            got->oids.end());
 }
 
 TEST_F(BssfTest, BulkLoadWritesEachOidPageOnce) {

@@ -535,6 +535,93 @@ TEST(DatabaseSnapshotTest, PinnedConjunctionSeesTheOldEpoch) {
   EXPECT_FALSE(bad.ok());
 }
 
+// One courses-like attribute with every facility, snapshots on.
+Database::Options OneAttributeSnapshotOptions(uint64_t capacity) {
+  Database::Options options;
+  Database::AttributeOptions attr;
+  attr.name = "a";
+  attr.maintain_ssf = true;
+  attr.sig = {120, 2};
+  options.attributes = {attr};
+  options.capacity = capacity;
+  options.enable_snapshots = true;
+  return options;
+}
+
+// A pin trusts the published NIX shape: it checks the root and loads the
+// ∅ roster (height + 2 reads) instead of walking the whole tree.
+TEST(DatabaseSnapshotTest, PinSkipsTheNixRecoveryWalk) {
+  StorageManager storage;
+  auto created =
+      Database::Create(&storage, "db", OneAttributeSnapshotOptions(8192));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Database> db = std::move(*created);
+  Rng rng(91);
+  for (int chunk = 0; chunk < 8; ++chunk) {
+    MultiWriteBatch batch;
+    for (int i = 0; i < 1000; ++i) {
+      batch.Insert({rng.SampleWithoutReplacement(20000, 10)});
+    }
+    ASSERT_TRUE(db->ApplyBatch(batch).ok());
+  }
+  uint64_t height = 0;
+  {
+    EpochPin pin = db->epochs()->Pin();
+    const IndexedAttribute::Shape& shape = pin.state()->attrs[0].shape;
+    ASSERT_GE(shape.nix_leaves + shape.nix_internal, 200u);
+    height = shape.nix_height;
+  }
+  FailpointRegistry::Instance().ArmCountdown("versioned.read", height + 3);
+  auto pinned = db->GetSnapshot();
+  FailpointRegistry::Instance().DisarmAll();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  // The view answers like the live database.
+  const std::vector<SetPredicate> probe = {
+      {"a", QueryKind::kSuperset, rng.SampleWithoutReplacement(20000, 1)}};
+  auto live = db->Query(probe);
+  auto snap = (*pinned)->Query(probe);
+  ASSERT_TRUE(live.ok() && snap.ok());
+  EXPECT_EQ(SortedValues(snap->oids), SortedValues(live->oids));
+}
+
+// Each compaction supersedes the signature files' CoW wrappers.  They are
+// destroyed, and their reclaim callbacks unregistered, once no pin is older
+// than the swap; a pin held across a swap keeps them until it is released.
+TEST(DatabaseSnapshotTest, CompactionFreesTheSupersededGeneration) {
+  StorageManager storage;
+  auto created =
+      Database::Create(&storage, "db", OneAttributeSnapshotOptions(1024));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Database> db = std::move(*created);
+  std::vector<Oid> oids;
+  for (uint64_t i = 0; i < 60; ++i) {
+    auto oid = db->Insert({{i, i + 1, 300 + i % 7}});
+    ASSERT_TRUE(oid.ok());
+    oids.push_back(*oid);
+  }
+  auto churn_and_compact = [&](size_t round) {
+    ASSERT_TRUE(db->Delete(oids[round]).ok());
+    ASSERT_TRUE(db->Compact().ok());
+  };
+  churn_and_compact(0);
+  const size_t after_one = db->epochs()->reclaimer_count();
+  churn_and_compact(1);
+  churn_and_compact(2);
+  EXPECT_EQ(db->epochs()->reclaimer_count(), after_one);
+
+  auto pinned = db->GetSnapshot();
+  ASSERT_TRUE(pinned.ok());
+  churn_and_compact(3);
+  EXPECT_GT(db->epochs()->reclaimer_count(), after_one);
+  // The pinned reader still reads the superseded files.
+  auto old = (*pinned)->Query({{"a", QueryKind::kSuperset, {3, 4}}});
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ(SortedValues(old->oids), std::vector<uint64_t>{oids[3].value()});
+  pinned->reset();
+  ASSERT_TRUE(db->Insert({{7, 8}}).ok());  // the next publish frees them
+  EXPECT_EQ(db->epochs()->reclaimer_count(), after_one);
+}
+
 // ---------------------------------------------------------------------------
 // Live and pinned reads agree.  With snapshots on and no write after the
 // pin, a snapshot runs the engine's own read path over the pinned files, so

@@ -1,5 +1,6 @@
 #include "obj/multi_object_store.h"
 
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +155,156 @@ TEST(MultiObjectStoreTest, WrongAttributeCountIsCorruption) {
   EXPECT_EQ(one.Get(*oid).status().code(), StatusCode::kCorruption);
   MultiObjectStore three(&file, 3);
   EXPECT_EQ(three.Get(*oid).status().code(), StatusCode::kCorruption);
+}
+
+// Churn fixture: `n` objects of two 10-element attributes (168-byte
+// records, 23 to a page), so every page but the tail is full.
+class StoreChurnTest : public ::testing::Test {
+ protected:
+  std::vector<ElementSet> Object() {
+    return {rng_.SampleWithoutReplacement(1000, 10),
+            rng_.SampleWithoutReplacement(1000, 10)};
+  }
+  void Fill(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<ElementSet> value = Object();
+      auto oid = store_.Insert(value);
+      ASSERT_TRUE(oid.ok());
+      live_.push_back(*oid);
+      values_.push_back(std::move(value));
+      ever_.insert(oid->value());
+    }
+  }
+  // Deletes a random live object.
+  void DeleteOne() {
+    const size_t pick = rng_.NextBelow(live_.size());
+    ASSERT_TRUE(store_.Delete(live_[pick]).ok());
+    live_.erase(live_.begin() + static_cast<ptrdiff_t>(pick));
+    values_.erase(values_.begin() + static_cast<ptrdiff_t>(pick));
+  }
+  // Inserts one object, checking the prediction and that its OID is new.
+  void InsertOne() {
+    std::vector<ElementSet> value = Object();
+    auto predicted = store_.PeekNextOid(value);
+    ASSERT_TRUE(predicted.ok());
+    auto oid = store_.Insert(value);
+    ASSERT_TRUE(oid.ok());
+    EXPECT_EQ(*oid, *predicted);
+    EXPECT_TRUE(ever_.insert(oid->value()).second)
+        << oid->ToString() << " handed out twice";
+    live_.push_back(*oid);
+    values_.push_back(std::move(value));
+  }
+  void ExpectAllReadable() {
+    for (size_t i = 0; i < live_.size(); ++i) {
+      auto obj = store_.Get(live_[i]);
+      ASSERT_TRUE(obj.ok()) << live_[i].ToString();
+      EXPECT_EQ(obj->attrs, values_[i]);
+    }
+  }
+
+  InMemoryPageFile file_{"obj"};
+  MultiObjectStore store_{&file_, 2};
+  Rng rng_{17};
+  std::vector<Oid> live_;
+  std::vector<std::vector<ElementSet>> values_;
+  std::set<uint64_t> ever_;
+};
+
+TEST_F(StoreChurnTest, DeleteInsertCyclesDoNotGrowTheFile) {
+  Fill(2000);
+  const PageId pages = store_.num_pages();
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    DeleteOne();
+    InsertOne();
+  }
+  EXPECT_EQ(store_.num_pages(), pages);
+  EXPECT_EQ(store_.num_objects(), 2000u);
+  ExpectAllReadable();
+}
+
+TEST_F(StoreChurnTest, PeekOidsMatchInsertsAcrossHolesAndTheTail) {
+  Fill(230);  // ten full pages
+  // Holes on three pages: two records on page 2, one each on 5 and 7.
+  for (size_t i : {size_t{2 * 23 + 4}, size_t{2 * 23 + 9}, size_t{5 * 23 + 1},
+                   size_t{7 * 23 + 20}}) {
+    ASSERT_TRUE(store_.Delete(live_[i]).ok());
+  }
+  // Eight inserts: four fill the holes, the rest go past the full tail.
+  std::vector<std::vector<ElementSet>> batch;
+  for (int i = 0; i < 8; ++i) batch.push_back(Object());
+  auto predicted = store_.PeekOids(batch);
+  ASSERT_TRUE(predicted.ok());
+  std::set<PageId> pages;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto oid = store_.Insert(batch[i]);
+    ASSERT_TRUE(oid.ok());
+    EXPECT_EQ(*oid, (*predicted)[i]) << "insert " << i;
+    EXPECT_TRUE(ever_.insert(oid->value()).second);
+    pages.insert(oid->page());
+  }
+  EXPECT_EQ(pages, (std::set<PageId>{2, 5, 7, 10}));
+}
+
+// Mixed singleton and batched churn with varied record sizes: every
+// prediction, singleton or batched, equals the OID Insert assigns.
+class MixedChurnTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MixedChurnTest, PeeksMatchInserts) {
+  InMemoryPageFile file("obj");
+  MultiObjectStore store(&file, 2);
+  Rng rng(GetParam());
+  std::vector<Oid> live;
+  auto object = [&]() -> std::vector<ElementSet> {
+    return {rng.SampleWithoutReplacement(13000, 10),
+            rng.SampleWithoutReplacement(500, 1 + rng.NextBelow(8))};
+  };
+  for (int i = 0; i < 3000; ++i) live.push_back(*store.Insert(object()));
+  auto delete_one = [&] {
+    const size_t pick = rng.NextBelow(live.size());
+    ASSERT_TRUE(store.Delete(live[pick]).ok());
+    live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+  };
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t u = rng.NextBelow(100);
+    if (u < 55) {
+      std::vector<ElementSet> value = object();
+      auto predicted = store.PeekNextOid(value);
+      auto oid = store.Insert(value);
+      ASSERT_TRUE(predicted.ok() && oid.ok());
+      ASSERT_EQ(*oid, *predicted) << "singleton insert at op " << op;
+      live.push_back(*oid);
+    } else if (u < 95) {
+      delete_one();
+    } else {
+      std::vector<std::vector<ElementSet>> batch;
+      for (int i = 0; i < 50; ++i) batch.push_back(object());
+      auto predicted = store.PeekOids(batch);
+      ASSERT_TRUE(predicted.ok());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        auto oid = store.Insert(batch[i]);
+        ASSERT_TRUE(oid.ok());
+        ASSERT_EQ(*oid, (*predicted)[i]) << "batch insert " << i << " at op "
+                                         << op;
+        live.push_back(*oid);
+      }
+      for (int i = 0; i < 50; ++i) delete_one();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MixedChurnTest,
+                         ::testing::Values(29u, 30u, 31u));
+
+TEST_F(StoreChurnTest, ChurnNeverRepeatsAnOid) {
+  Fill(300);
+  for (int round = 0; round < 400; ++round) {
+    const int deletes = 1 + static_cast<int>(rng_.NextBelow(3));
+    for (int i = 0; i < deletes; ++i) DeleteOne();
+    const int inserts = 1 + static_cast<int>(rng_.NextBelow(3));
+    for (int i = 0; i < inserts; ++i) InsertOne();
+  }
+  ExpectAllReadable();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +128,67 @@ TEST(SlottedPageTest, MaxSizeRecordFits) {
   ASSERT_TRUE(slot.has_value());
   EXPECT_EQ(GetRecord(sp, 0).size(), kPageSize - 8);
   EXPECT_EQ(sp.FreeSpace(), 0u);
+}
+
+TEST(SlottedPageTest, CompactKeepsLiveRecordsUnderTheirSlots) {
+  Page page;
+  SlottedPage::Init(&page);
+  SlottedPage sp(&page);
+  std::vector<std::string> records;
+  for (int i = 0; i < 40; ++i) {
+    records.push_back(std::string(20 + i * 3, static_cast<char>('a' + i % 26)));
+    MustInsert(&sp, records.back());
+  }
+  for (uint16_t s = 0; s < 40; s += 3) sp.Delete(s);
+  const size_t compacted = sp.CompactedFreeSpace();
+  EXPECT_GT(compacted, sp.FreeSpace());
+  sp.Compact();
+  EXPECT_EQ(sp.FreeSpace(), compacted);
+  EXPECT_EQ(sp.CompactedFreeSpace(), compacted);
+  EXPECT_EQ(sp.num_slots(), 40u);
+  for (uint16_t s = 0; s < 40; ++s) {
+    EXPECT_EQ(GetRecord(sp, s), s % 3 == 0 ? "" : records[s]) << "slot " << s;
+  }
+  // The next record takes the next slot number, never a tombstone's.
+  EXPECT_EQ(MustInsert(&sp, "after"), 40u);
+}
+
+TEST(SlottedPageTest, ResurrectAfterCompactionTakesTheFreeGap) {
+  Page page;
+  SlottedPage::Init(&page);
+  SlottedPage sp(&page);
+  const std::string victim(100, 'v');
+  MustInsert(&sp, "keep-0");
+  MustInsert(&sp, victim);
+  MustInsert(&sp, "keep-2");
+  const auto* data = reinterpret_cast<const uint8_t*>(victim.data());
+  // Without a compaction, the retained bytes take the record back.
+  sp.Delete(1);
+  ASSERT_TRUE(sp.Resurrect(1, data, 100));
+  EXPECT_EQ(GetRecord(sp, 1), victim);
+  // After one, the tombstone retains nothing and the record takes the gap.
+  sp.Delete(1);
+  sp.Compact();
+  MustInsert(&sp, "keep-3");
+  ASSERT_TRUE(sp.Resurrect(1, data, 100));
+  EXPECT_EQ(GetRecord(sp, 1), victim);
+  EXPECT_EQ(GetRecord(sp, 0), "keep-0");
+  EXPECT_EQ(GetRecord(sp, 2), "keep-2");
+  EXPECT_EQ(GetRecord(sp, 3), "keep-3");
+  // A live slot cannot be resurrected.
+  EXPECT_FALSE(sp.Resurrect(1, data, 100));
+}
+
+TEST(SlottedPageTest, AppendTombstoneReservesTheNextSlot) {
+  Page page;
+  SlottedPage::Init(&page);
+  SlottedPage sp(&page);
+  MustInsert(&sp, "a");
+  EXPECT_EQ(sp.AppendTombstone(), std::optional<uint16_t>(1));
+  EXPECT_EQ(GetRecord(sp, 1), "");
+  EXPECT_EQ(MustInsert(&sp, "c"), 2u);
+  ASSERT_TRUE(sp.Resurrect(1, reinterpret_cast<const uint8_t*>("b"), 1));
+  EXPECT_EQ(GetRecord(sp, 1), "b");
 }
 
 TEST(SlottedPageTest, OversizeRecordRejected) {

@@ -75,11 +75,15 @@ case "${1:-all}" in
     # The grouped write path (WriteBatch / ApplyBatch / Compact) mutates
     # every facility plus the store under one SynchronizedSetIndex lock and
     # is queried from 4-thread pools mid-churn; TSan vets the batch-vs-query
-    # interleavings, ASan the slot-reuse and compaction rewrites.
+    # interleavings and the retirement of superseded CoW wrappers against
+    # the reclaimer thread, ASan the slot reuse, the object pages' heap
+    # compaction and the compaction rewrites.
     shift
-    run_one thread -R 'write_batch|delete_query|synchronized_set_index' "$@"
+    run_one thread -R \
+      'write_batch|delete_query|synchronized_set_index|epoch' "$@"
     run_one address -R \
-      'write_batch|delete_query|oid_file|ssf|bssf|btree|nested_index' "$@"
+      'write_batch|delete_query|oid_file|ssf|bssf|btree|nested_index|slotted_page|multi_object_store|object_store|epoch' \
+      "$@"
     ;;
   kernels)
     # The dispatched kernels do unaligned 256-bit loads right up to buffer
