@@ -238,6 +238,31 @@ void BM_NixInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_NixInsert)->Iterations(16000);
 
+// One ApplyBatch of 1,000 inserts (K distinct keys, one descent each) into
+// a NIX bulk-built over the first half of the database: perfbench's load
+// shape.
+void BM_NixApplyBatch(benchmark::State& state) {
+  constexpr size_t kBatch = 1000;
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto nix = ValueOrDie(NestedIndex::Create(storage.CreateOrOpen("nix")),
+                        "nix create");
+  const size_t half = o.oids.size() / 2;
+  CheckOk(nix->BulkBuild({o.oids.begin(), o.oids.begin() + half},
+                         {o.sets.begin(), o.sets.begin() + half}),
+          "bulk build");
+  std::vector<BatchOp> batch(kBatch);
+  size_t i = half;
+  for (auto _ : state) {
+    for (BatchOp& op : batch) {
+      op = BatchOp{BatchOp::Kind::kInsert, o.oids[i], o.sets[i]};
+      ++i;
+    }
+    CheckOk(nix->ApplyBatch(batch), "apply batch");
+  }
+}
+BENCHMARK(BM_NixApplyBatch)->Iterations(16);
+
 // One posting removal per element, from a NIX over the whole database.
 void BM_NixRemove(benchmark::State& state) {
   const PaperObjects& o = Objects();
