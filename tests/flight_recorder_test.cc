@@ -156,16 +156,25 @@ TEST(FlightRecorderTest, WritePostmortemProducesBothFiles) {
 // must never observe a torn slot (every returned event is internally
 // consistent and in seq order), and no producer increment may be lost.  Run
 // under TSan by tools/run_sanitizers.sh telemetry.
+//
+// Writers start only after both readers have counted themselves in, and each
+// reader dumps at least once (do-while), so a loaded machine cannot finish
+// every write before a reader first runs.
 TEST(FlightRecorderTest, ConcurrentRecordAndDumpStaysConsistent) {
   FlightRecorder recorder(64);
   constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
   constexpr uint64_t kPerWriter = 50000;
+  std::atomic<int> readers_in{0};
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
 
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&recorder, w] {
+    threads.emplace_back([&recorder, &readers_in, w] {
+      while (readers_in.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (uint64_t i = 0; i < kPerWriter; ++i) {
         FlightEvent event = MakeEvent(
             static_cast<FlightOp>(i % 8), (static_cast<uint64_t>(w) << 32) | i);
@@ -178,9 +187,10 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpStaysConsistent) {
     });
   }
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&recorder, &stop, &reads] {
-      while (!stop.load(std::memory_order_relaxed)) {
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&recorder, &readers_in, &stop, &reads] {
+      readers_in.fetch_add(1, std::memory_order_release);
+      do {
         std::vector<FlightEvent> events = recorder.Events();
         for (size_t i = 0; i < events.size(); ++i) {
           // Internal consistency: the three fields written from the same
@@ -190,7 +200,7 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpStaysConsistent) {
           if (i > 0) ASSERT_GT(events[i].seq, events[i - 1].seq);
         }
         reads.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
   for (auto& t : threads) t.join();
