@@ -497,5 +497,217 @@ TEST_F(BTreeTest, BulkLoadThenIncrementalInserts) {
   EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
 }
 
+
+// ---- in-place leaf edits ----
+//
+// A one-leaf tree (height 0) whose root page is read back raw.  Every case
+// checks the leaf byte for byte against the packed layout btree.h
+// documents, ValidateStructure, and a std::map oracle of the postings.
+class BTreeLeafEditTest : public BTreeTest {
+ protected:
+  using Oracle = std::map<uint64_t, std::vector<Oid>>;
+
+  void SetUp() override { MakeTree(); }
+
+  // Apply on the tree and, when it succeeds, on the oracle: each remove
+  // takes one occurrence, adds keep the list ascending, an emptied list
+  // drops its key.
+  Status Apply(uint64_t key, const std::vector<Oid>& adds,
+               const std::vector<Oid>& removes) {
+    Status status = tree_->Apply(key, adds, removes);
+    if (!status.ok()) return status;
+    std::vector<Oid>& list = oracle_[key];
+    for (const Oid& oid : removes) {
+      list.erase(std::find(list.begin(), list.end(), oid));
+    }
+    list.insert(list.end(), adds.begin(), adds.end());
+    std::sort(list.begin(), list.end());
+    if (list.empty()) oracle_.erase(key);
+    return status;
+  }
+
+  static std::vector<Oid> Oids(uint64_t first, uint64_t n) {
+    std::vector<Oid> out;
+    for (uint64_t i = 0; i < n; ++i) out.push_back(MakeOid(first + i));
+    return out;
+  }
+
+  // Bytes of the page `id`, read without charging the file's counters.
+  Page RawPage(PageId id) {
+    IoStats uncounted;
+    Page page;
+    EXPECT_TRUE(file_.Read(id, &page, &uncounted).ok());
+    return page;
+  }
+
+  // The leaf that packs `records`: header (type 1, entry count, next leaf),
+  // the offset directory, then the records stacked down from the page's end
+  // in key order, each key (8) | count (2) | count × OID (8); zero elsewhere.
+  static Page PackedLeaf(const Oracle& records) {
+    Page page;
+    page.WriteAt<uint8_t>(0, 1);
+    page.WriteAt<uint16_t>(2, static_cast<uint16_t>(records.size()));
+    page.WriteAt<uint32_t>(4, kInvalidPage);
+    size_t heap = kPageSize;
+    size_t slot = 0;
+    for (const auto& [key, oids] : records) {
+      heap -= 10 + oids.size() * 8;
+      page.WriteAt<uint16_t>(8 + slot++ * 2, static_cast<uint16_t>(heap));
+      page.WriteAt<uint64_t>(heap, key);
+      page.WriteAt<uint16_t>(heap + 8, static_cast<uint16_t>(oids.size()));
+      for (size_t i = 0; i < oids.size(); ++i) {
+        page.WriteAt<uint64_t>(heap + 10 + i * 8, oids[i].value());
+      }
+    }
+    return page;
+  }
+
+  // Free bytes of the root leaf.
+  size_t FreeBytes() const {
+    size_t used = 8;
+    for (const auto& entry : oracle_) used += 12 + entry.second.size() * 8;
+    return kPageSize - used;
+  }
+
+  void ExpectLeafMatchesOracle() {
+    ASSERT_EQ(tree_->height(), 0u);
+    EXPECT_EQ(RawPage(tree_->root()).bytes, PackedLeaf(oracle_).bytes);
+    ExpectTreeMatchesOracle();
+  }
+
+  void ExpectTreeMatchesOracle() {
+    EXPECT_TRUE(tree_->ValidateStructure().ok());
+    Oracle got;
+    ASSERT_TRUE(tree_
+                    ->ForEachEntry([&](const BTreeEntry& entry) {
+                      got[entry.key] = entry.postings;
+                    })
+                    .ok());
+    EXPECT_EQ(got, oracle_);
+    for (const auto& [key, oids] : oracle_) {
+      EXPECT_EQ(*tree_->Lookup(key), oids) << "key " << key;
+    }
+  }
+
+  Oracle oracle_;
+};
+
+TEST_F(BTreeLeafEditTest, RecordsInsertAtFrontMiddleAndEnd) {
+  ASSERT_TRUE(Apply(50, Oids(500, 3), {}).ok());
+  // Directory position 0, between two records, after the last one.
+  for (uint64_t key : {10, 30, 90, 70, 5}) {
+    file_.stats().Reset();
+    ASSERT_TRUE(Apply(key, Oids(key * 10, 2), {}).ok()) << "key " << key;
+    EXPECT_EQ(file_.stats().page_writes, 1u);
+    ExpectLeafMatchesOracle();
+  }
+  // A list grown and shrunk in the middle moves only the records below it.
+  ASSERT_TRUE(Apply(30, Oids(1000, 40), {}).ok());
+  ExpectLeafMatchesOracle();
+  ASSERT_TRUE(Apply(30, {}, Oids(1000, 39)).ok());
+  ExpectLeafMatchesOracle();
+}
+
+TEST_F(BTreeLeafEditTest, RemovingEveryRecordEmptiesTheLeafThenItRefills) {
+  for (uint64_t key : {10, 20, 30}) {
+    ASSERT_TRUE(Apply(key, Oids(key * 10, 4), {}).ok());
+  }
+  // The record at the last directory position, then the first, then the
+  // only one left.
+  for (uint64_t key : {30, 10, 20}) {
+    ASSERT_TRUE(Apply(key, {}, Oids(key * 10, 4)).ok()) << "key " << key;
+    ExpectLeafMatchesOracle();
+  }
+  EXPECT_EQ(RawPage(tree_->root()).bytes, PackedLeaf({}).bytes);
+  EXPECT_TRUE(tree_->Lookup(20)->empty());
+  for (uint64_t key : {40, 15, 60}) {
+    ASSERT_TRUE(Apply(key, Oids(key * 10, 2), {}).ok()) << "key " << key;
+    ExpectLeafMatchesOracle();
+  }
+}
+
+// Every leaf record takes a multiple of 4 bytes (12 + 8n inline, with its
+// directory slot) and the header 8, so a change fits exactly or overshoots
+// the page by at least 4 bytes.
+TEST_F(BTreeLeafEditTest, ChangeFillingTheLeafExactlyIsOneWrite) {
+  // One OID more, into the last 8 free bytes.
+  ASSERT_TRUE(Apply(10, Oids(100, 506), {}).ok());
+  ASSERT_TRUE(Apply(20, {MakeOid(7)}, {}).ok());
+  ASSERT_EQ(FreeBytes(), 8u);
+  file_.stats().Reset();
+  ASSERT_TRUE(Apply(20, {MakeOid(8)}, {}).ok());
+  EXPECT_EQ(FreeBytes(), 0u);
+  EXPECT_EQ(file_.stats().page_writes, 1u);
+  EXPECT_EQ(tree_->leaf_pages(), 1u);
+  ExpectLeafMatchesOracle();
+  // A new one-OID record, into the last 20 free bytes.
+  ASSERT_TRUE(Apply(20, {}, {MakeOid(7), MakeOid(8)}).ok());
+  ASSERT_TRUE(Apply(10, {MakeOid(99)}, {}).ok());
+  ASSERT_EQ(FreeBytes(), 20u);
+  file_.stats().Reset();
+  ASSERT_TRUE(Apply(30, {MakeOid(9)}, {}).ok());
+  EXPECT_EQ(FreeBytes(), 0u);
+  EXPECT_EQ(file_.stats().page_writes, 1u);
+  EXPECT_EQ(tree_->leaf_pages(), 1u);
+  ExpectLeafMatchesOracle();
+}
+
+TEST_F(BTreeLeafEditTest, ChangeFourBytesPastTheLeafSplits) {
+  // A one-OID record (20 bytes) into 16 free bytes.
+  ASSERT_TRUE(Apply(10, Oids(100, 505), {}).ok());
+  ASSERT_TRUE(Apply(20, {MakeOid(7)}, {}).ok());
+  ASSERT_EQ(FreeBytes(), 16u);
+  file_.stats().Reset();
+  ASSERT_TRUE(Apply(30, {MakeOid(9)}, {}).ok());
+  EXPECT_EQ(tree_->leaf_pages(), 2u);
+  EXPECT_EQ(tree_->height(), 1u);
+  // Left leaf, right leaf, new root.
+  EXPECT_EQ(file_.stats().page_writes, 3u);
+  ExpectTreeMatchesOracle();
+}
+
+TEST_F(BTreeLeafEditTest, OneOidFourBytesPastTheLeafSplits) {
+  ASSERT_TRUE(Apply(10, Oids(100, 504), {}).ok());
+  ASSERT_TRUE(Apply(20, {MakeOid(7)}, {}).ok());
+  ASSERT_TRUE(Apply(30, {MakeOid(9)}, {}).ok());
+  ASSERT_EQ(FreeBytes(), 4u);
+  ASSERT_TRUE(Apply(20, {MakeOid(8)}, {}).ok());
+  EXPECT_EQ(tree_->leaf_pages(), 2u);
+  ExpectTreeMatchesOracle();
+}
+
+TEST_F(BTreeLeafEditTest, MissingKeyOrOidChangesNothing) {
+  for (uint64_t key : {10, 20, 30}) {
+    ASSERT_TRUE(Apply(key, Oids(key * 10, 3), {}).ok());
+  }
+  const Page before = RawPage(tree_->root());
+  file_.stats().Reset();
+  EXPECT_EQ(Apply(25, {}, {MakeOid(1)}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(Apply(25, {MakeOid(2)}, {MakeOid(1)}).code(),
+            StatusCode::kNotFound);
+  // One missing OID among present ones fails the whole group, adds too.
+  EXPECT_EQ(Apply(20, {MakeOid(3)}, {MakeOid(200), MakeOid(1)}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Apply(20, {}, {MakeOid(999)}).code(), StatusCode::kNotFound);
+  // A remove matches the postings before the group's adds.
+  EXPECT_EQ(Apply(20, {MakeOid(4)}, {MakeOid(4)}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(file_.stats().page_writes, 0u);
+  EXPECT_EQ(RawPage(tree_->root()).bytes, before.bytes);
+  ExpectLeafMatchesOracle();
+}
+
+TEST_F(BTreeLeafEditTest, RemovingADuplicateOidTakesOneOccurrence) {
+  const Oid dup = MakeOid(5);
+  ASSERT_TRUE(Apply(10, {dup, MakeOid(9), dup, dup}, {}).ok());
+  ASSERT_TRUE(Apply(10, {}, {dup}).ok());
+  EXPECT_EQ(*tree_->Lookup(10), (std::vector<Oid>{dup, dup, MakeOid(9)}));
+  ExpectLeafMatchesOracle();
+  EXPECT_EQ(Apply(10, {}, {dup, dup, dup}).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(Apply(10, {}, {dup, dup}).ok());
+  EXPECT_EQ(*tree_->Lookup(10), std::vector<Oid>{MakeOid(9)});
+  ExpectLeafMatchesOracle();
+}
+
 }  // namespace
 }  // namespace sigsetdb
