@@ -259,6 +259,89 @@ TEST(TraceEventTest, OneShotAndFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A span with all five page counters set by name.
+TraceSpan CountedSpan(std::string name, uint64_t reads, uint64_t writes,
+                      uint64_t skipped, uint64_t cow, uint64_t hot) {
+  TraceSpan span;
+  span.name = std::move(name);
+  span.page_reads = reads;
+  span.page_writes = writes;
+  span.pages_skipped = skipped;
+  span.pages_cow = cow;
+  span.pages_hot = hot;
+  return span;
+}
+
+// A hand-built two-stage trace whose stages and children carry every page
+// counter nonzero, each with its own value, so a byte-exact pin of its
+// renderings catches a counter that is dropped, swapped or moved.
+QueryTrace MakeAllCountersTrace() {
+  QueryTrace trace;
+  trace.plan = "bssf smart(k=2)";
+  trace.kind = "superset";
+  trace.dq = 4;
+  trace.predicted_total = 30.5;
+  TraceSpan* selection = trace.AddStage("candidate selection");
+  *selection = CountedSpan("candidate selection", 11, 2, 3, 4, 5);
+  selection->wall_ms = 0.25;
+  selection->predicted_pages = 12.5;
+  selection->candidates = 9;
+  selection->children.push_back(CountedSpan("bssf.slices", 7, 1, 2, 3, 4));
+  selection->children.push_back(CountedSpan("bssf.oids", 4, 1, 1, 1, 1));
+  TraceSpan* resolution = trace.AddStage("resolution");
+  *resolution = CountedSpan("resolution", 20, 6, 7, 8, 9);
+  resolution->wall_ms = 1.5;
+  resolution->predicted_pages = 18;
+  resolution->candidates = 9;
+  resolution->false_drops = 3;
+  for (int w = 0; w < 2; ++w) {
+    TraceSpan worker = CountedSpan("worker " + std::to_string(w), 10, 3,
+                                   3 + w, 4, 4 + w);
+    worker.wall_ms = 0.75 - 0.25 * w;
+    worker.candidates = 5 - w;
+    worker.false_drops = 1 + w;
+    resolution->children.push_back(worker);
+  }
+  return trace;
+}
+
+// The whole trace-event document of a trace whose stages and children carry
+// every counter, byte for byte: the span args, the query args and the
+// untimed per-file children folded into their stage.
+TEST(TraceEventTest, DocumentCarriesEveryCounter) {
+  EXPECT_EQ(TraceEventJson(MakeAllCountersTrace()),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"ph\":\"M\","
+            "\"name\":\"thread_name\",\"pid\":1,\"tid\":1,"
+            "\"args\":{\"name\":\"queries\"}},{\"ph\":\"M\","
+            "\"name\":\"thread_name\",\"pid\":1,\"tid\":2,"
+            "\"args\":{\"name\":\"resolve worker 0\"}},{\"ph\":\"M\","
+            "\"name\":\"thread_name\",\"pid\":1,\"tid\":3,"
+            "\"args\":{\"name\":\"resolve worker 1\"}},{\"name\":\"candidate "
+            "selection\",\"cat\":\"query\",\"ph\":\"X\",\"ts\":0,\"dur\":250,"
+            "\"pid\":1,\"tid\":1,\"args\":{\"page_reads\":11,"
+            "\"page_writes\":2,\"pages_skipped\":3,\"pages_cow\":4,"
+            "\"pages_hot\":5,\"predicted_pages\":12.5,\"candidates\":9,"
+            "\"pages.bssf.slices\":8,\"pages.bssf.oids\":5}},"
+            "{\"name\":\"worker 0\",\"cat\":\"query\",\"ph\":\"X\",\"ts\":250,"
+            "\"dur\":750,\"pid\":1,\"tid\":2,\"args\":{\"page_reads\":10,"
+            "\"page_writes\":3,\"pages_skipped\":3,\"pages_cow\":4,"
+            "\"pages_hot\":4,\"candidates\":5,\"false_drops\":1}},"
+            "{\"name\":\"worker 1\",\"cat\":\"query\",\"ph\":\"X\",\"ts\":250,"
+            "\"dur\":500,\"pid\":1,\"tid\":3,\"args\":{\"page_reads\":10,"
+            "\"page_writes\":3,\"pages_skipped\":4,\"pages_cow\":4,"
+            "\"pages_hot\":5,\"candidates\":4,\"false_drops\":2}},"
+            "{\"name\":\"resolution\",\"cat\":\"query\",\"ph\":\"X\","
+            "\"ts\":250,\"dur\":1500,\"pid\":1,\"tid\":1,"
+            "\"args\":{\"page_reads\":20,\"page_writes\":6,"
+            "\"pages_skipped\":7,\"pages_cow\":8,\"pages_hot\":9,"
+            "\"predicted_pages\":18,\"candidates\":9,\"false_drops\":3}},"
+            "{\"name\":\"superset bssf smart(k=2)\",\"cat\":\"query\","
+            "\"ph\":\"X\",\"ts\":0,\"dur\":1750,\"pid\":1,\"tid\":1,"
+            "\"args\":{\"plan\":\"bssf smart(k=2)\",\"dq\":4,\"pages\":39,"
+            "\"pages_skipped\":10,\"pages_cow\":12,\"pages_hot\":14,"
+            "\"predicted_pages\":30.5}}]}");
+}
+
 TEST(TraceEventTest, EmptyTraceStillEmitsQuerySpan) {
   QueryTrace trace;
   TraceEventWriter writer;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "storage/buffer_pool.h"
@@ -84,6 +85,28 @@ TEST(StorageMetricsTest, ExportsIoAndBufferCounters) {
   EXPECT_EQ(shard_hits, pool->hits());
   // An 8-page working set through a 4-frame pool cannot avoid evicting.
   EXPECT_GT(registry.CounterValue("buffer.evictions"), 0u);
+}
+
+// Every page counter of a file becomes an io.<file>.<short name> counter;
+// the skipped, cow and hot counters only once they are nonzero.
+TEST(StorageMetricsTest, ExportsEveryPageCounterByName) {
+  StorageManager storage;
+  storage.CreateOrOpen("t.sig")->stats() = IoStats{11, 7, 3, 2, 5};
+  storage.CreateOrOpen("t.obj")->stats() = IoStats{4, 1};
+  MetricsRegistry registry;
+  ExportStorageMetrics(storage, &registry);
+  std::string exported;
+  for (const auto& [name, value] : registry.Snapshot().counters) {
+    exported += name + "=" + std::to_string(value) + "\n";
+  }
+  EXPECT_EQ(exported,
+            "io.t.obj.reads=4\n"
+            "io.t.obj.writes=1\n"
+            "io.t.sig.cow=2\n"
+            "io.t.sig.hot=5\n"
+            "io.t.sig.reads=11\n"
+            "io.t.sig.skipped=3\n"
+            "io.t.sig.writes=7\n");
 }
 
 TEST(StorageMetricsTest, ReExportIsMonotonicAndIdempotent) {
