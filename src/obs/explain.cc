@@ -1,6 +1,9 @@
 #include "obs/explain.h"
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/table_printer.h"
 
@@ -15,27 +18,23 @@ std::string CountCell(int64_t v) {
 }
 
 void AddSpanRow(TablePrinter* table, const TraceSpan& span, int depth) {
-  std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  table->AddRow({indent + span.name,
-                 TablePrinter::Int(static_cast<int64_t>(span.pages())),
-                 span.predicted_pages < 0.0
-                     ? kNone
-                     : TablePrinter::Num(span.predicted_pages),
-                 TablePrinter::Int(static_cast<int64_t>(span.page_reads)),
-                 TablePrinter::Int(static_cast<int64_t>(span.page_writes)),
-                 span.pages_skipped > 0
-                     ? TablePrinter::Int(
-                           static_cast<int64_t>(span.pages_skipped))
-                     : kNone,
-                 span.pages_cow > 0
-                     ? TablePrinter::Int(static_cast<int64_t>(span.pages_cow))
-                     : kNone,
-                 span.pages_hot > 0
-                     ? TablePrinter::Int(static_cast<int64_t>(span.pages_hot))
-                     : kNone,
-                 span.wall_ms > 0.0 ? TablePrinter::Num(span.wall_ms, 3)
-                                    : kNone,
-                 CountCell(span.candidates), CountCell(span.false_drops)});
+  std::vector<std::string> row = {
+      std::string(static_cast<size_t>(depth) * 2, ' ') + span.name,
+      TablePrinter::Int(static_cast<int64_t>(span.pages())),
+      span.predicted_pages < 0.0 ? kNone
+                                 : TablePrinter::Num(span.predicted_pages)};
+  // Counters in total() always show; the others show "-" when zero.
+  for (const auto& c : kPageCounters) {
+    const uint64_t v = span.*c.field;
+    row.push_back(c.in_total || v > 0
+                      ? TablePrinter::Int(static_cast<int64_t>(v))
+                      : kNone);
+  }
+  row.push_back(span.wall_ms > 0.0 ? TablePrinter::Num(span.wall_ms, 3)
+                                   : kNone);
+  row.push_back(CountCell(span.candidates));
+  row.push_back(CountCell(span.false_drops));
+  table->AddRow(std::move(row));
   for (const TraceSpan& child : span.children) {
     AddSpanRow(table, child, depth + 1);
   }
@@ -47,18 +46,16 @@ std::string RenderExplain(const QueryTrace& trace) {
   std::ostringstream os;
   os << "EXPLAIN " << trace.kind << " Dq=" << trace.dq
      << " — plan: " << trace.plan << "\n";
-  TablePrinter table({"stage", "pages", "predicted", "reads", "writes",
-                      "skipped", "cow", "hot", "wall_ms", "cand", "fdrops"});
+  std::vector<std::string> header = {"stage", "pages", "predicted"};
+  for (const auto& c : kPageCounters) header.push_back(c.short_name);
+  header.insert(header.end(), {"wall_ms", "cand", "fdrops"});
+  TablePrinter table(header);
   for (const TraceSpan& span : trace.stages()) {
     AddSpanRow(&table, span, 0);
   }
   TraceSpan total;
   total.name = "total";
-  total.page_reads = trace.TotalReads();
-  total.page_writes = trace.TotalWrites();
-  total.pages_skipped = trace.TotalSkipped();
-  total.pages_cow = trace.TotalCow();
-  total.pages_hot = trace.TotalHot();
+  total += trace.Totals();
   total.wall_ms = trace.TotalWallMs();
   total.predicted_pages = trace.predicted_total;
   AddSpanRow(&table, total, 0);

@@ -34,21 +34,14 @@ void ExportStorageMetrics(const StorageManager& storage,
   uint64_t hits = 0, misses = 0, evictions = 0;
   bool any_pool = false;
   storage.ForEachFile([&](const PageFile& file) {
-    SyncCounter(registry, "io." + file.name() + ".reads",
-                file.stats().reads());
-    SyncCounter(registry, "io." + file.name() + ".writes",
-                file.stats().writes());
-    if (file.stats().skips() > 0) {
-      SyncCounter(registry, "io." + file.name() + ".skipped",
-                  file.stats().skips());
-    }
-    if (file.stats().cows() > 0) {
-      SyncCounter(registry, "io." + file.name() + ".cow",
-                  file.stats().cows());
-    }
-    if (file.stats().hots() > 0) {
-      SyncCounter(registry, "io." + file.name() + ".hot",
-                  file.stats().hots());
+    // io.<file>.<short name>: the counters in total() always, the others
+    // once they are nonzero.
+    const PageCounts counts = file.stats().counts();
+    for (const auto& c : kPageCounters) {
+      if (c.in_total || counts.*c.field > 0) {
+        SyncCounter(registry, "io." + file.name() + "." + c.short_name,
+                    counts.*c.field);
+      }
     }
     const auto* pool = dynamic_cast<const CachedPageFile*>(&file);
     if (pool != nullptr) {

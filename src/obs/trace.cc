@@ -6,15 +6,29 @@ namespace sigsetdb {
 
 namespace {
 
+// Writes the counters in total() always, then their sum as `pages`, then
+// the others only when nonzero.  Keys are `prefix` + the counter's short
+// name, or its field name when `prefix` is null.
+void WriteCounts(JsonWriter* w, const PageCounts& counts, const char* prefix) {
+  const auto key = [prefix](const char* name, const char* short_name) {
+    return prefix == nullptr ? std::string(name)
+                             : std::string(prefix) + short_name;
+  };
+  for (const auto& c : kPageCounters) {
+    if (c.in_total) w->Field(key(c.name, c.short_name), counts.*c.field);
+  }
+  w->Field(key("pages", "pages"), counts.pages());
+  for (const auto& c : kPageCounters) {
+    if (!c.in_total && counts.*c.field > 0) {
+      w->Field(key(c.name, c.short_name), counts.*c.field);
+    }
+  }
+}
+
 void WriteSpan(JsonWriter* w, const TraceSpan& span) {
   w->BeginObject();
   w->Field("name", span.name);
-  w->Field("page_reads", span.page_reads);
-  w->Field("page_writes", span.page_writes);
-  w->Field("pages", span.pages());
-  if (span.pages_skipped > 0) w->Field("pages_skipped", span.pages_skipped);
-  if (span.pages_cow > 0) w->Field("pages_cow", span.pages_cow);
-  if (span.pages_hot > 0) w->Field("pages_hot", span.pages_hot);
+  WriteCounts(w, span, nullptr);
   if (span.wall_ms > 0.0) w->Field("wall_ms", span.wall_ms);
   if (span.predicted_pages >= 0.0) {
     w->Field("predicted_pages", span.predicted_pages);
@@ -50,51 +64,19 @@ TraceSpan* AddSnapshotStage(QueryTrace* trace, std::string name,
                             const IoSnapshots& after) {
   TraceSpan* span = trace->AddStage(std::move(name));
   for (size_t i = 0; i < after.size() && i < before.size(); ++i) {
-    const IoStats delta = after[i].second - before[i].second;
+    const PageCounts delta = (after[i].second - before[i].second).counts();
     TraceSpan child;
     child.name = after[i].first;
-    child.page_reads = delta.reads();
-    child.page_writes = delta.writes();
-    child.pages_skipped = delta.skips();
-    child.pages_cow = delta.cows();
-    child.pages_hot = delta.hots();
-    span->page_reads += delta.reads();
-    span->page_writes += delta.writes();
-    span->pages_skipped += delta.skips();
-    span->pages_cow += delta.cows();
-    span->pages_hot += delta.hots();
+    child += delta;
+    *span += delta;
     span->children.push_back(std::move(child));
   }
   return span;
 }
 
-uint64_t QueryTrace::TotalReads() const {
-  uint64_t total = 0;
-  for (const TraceSpan& s : stages_) total += s.page_reads;
-  return total;
-}
-
-uint64_t QueryTrace::TotalWrites() const {
-  uint64_t total = 0;
-  for (const TraceSpan& s : stages_) total += s.page_writes;
-  return total;
-}
-
-uint64_t QueryTrace::TotalSkipped() const {
-  uint64_t total = 0;
-  for (const TraceSpan& s : stages_) total += s.pages_skipped;
-  return total;
-}
-
-uint64_t QueryTrace::TotalCow() const {
-  uint64_t total = 0;
-  for (const TraceSpan& s : stages_) total += s.pages_cow;
-  return total;
-}
-
-uint64_t QueryTrace::TotalHot() const {
-  uint64_t total = 0;
-  for (const TraceSpan& s : stages_) total += s.pages_hot;
+PageCounts QueryTrace::Totals() const {
+  PageCounts total;
+  for (const TraceSpan& s : stages_) total += s;
   return total;
 }
 
@@ -110,12 +92,7 @@ std::string QueryTrace::ToJson() const {
   w.Field("plan", plan);
   w.Field("kind", kind);
   w.Field("dq", dq);
-  w.Field("measured_reads", TotalReads());
-  w.Field("measured_writes", TotalWrites());
-  w.Field("measured_pages", TotalPages());
-  if (TotalSkipped() > 0) w.Field("measured_skipped", TotalSkipped());
-  if (TotalCow() > 0) w.Field("measured_cow", TotalCow());
-  if (TotalHot() > 0) w.Field("measured_hot", TotalHot());
+  WriteCounts(&w, Totals(), "measured_");
   if (predicted_total >= 0.0) w.Field("predicted_total", predicted_total);
   w.Field("wall_ms", TotalWallMs());
   w.Key("stages");

@@ -30,30 +30,17 @@
 
 namespace sigsetdb {
 
-// One stage (or sub-stage) of a query's execution.
-struct TraceSpan {
-  std::string name;         // "slice scan", "resolve", ...
-  uint64_t page_reads = 0;  // measured delta over the stage
-  uint64_t page_writes = 0;
-  // Page reads the skip index proved unnecessary (not part of pages():
-  // a skipped page is an access that never happened).
-  uint64_t pages_skipped = 0;
-  // Copy-on-write page copies (snapshots enabled only; see
-  // storage/versioned_page_file.h).  Not part of pages(): a CoW copy is
-  // version-chain bookkeeping, not a logical access the paper counts.
-  uint64_t pages_cow = 0;
-  // Slice-page reads served from the pinned hot tier (hot tier enabled
-  // only; see sig/hot_tier.h).  Not part of pages(): a hot hit is served
-  // from memory, so the buffer pool never sees the access.
-  uint64_t pages_hot = 0;
-  double wall_ms = 0.0;          // 0 when not timed (sub-stages)
+// One stage (or sub-stage) of a query's execution: its measured page
+// counter deltas (PageCounts, storage/io_stats.h; pages() is the paper's
+// page accesses) plus its wall time, prediction and counts.
+struct TraceSpan : PageCounts {
+  std::string name;               // "slice scan", "resolve", ...
+  double wall_ms = 0.0;           // 0 when not timed (sub-stages)
   double predicted_pages = -1.0;  // model prediction; < 0 = none attached
   // Stage-specific counts; -1 = not applicable.
   int64_t candidates = -1;   // drops delivered / resolved in this stage
   int64_t false_drops = -1;  // candidates failing resolution
   std::vector<TraceSpan> children;  // breakdown of this stage by file
-
-  uint64_t pages() const { return page_reads + page_writes; }
 
   // Finds a direct child by name; nullptr when absent.
   TraceSpan* FindChild(const std::string& child_name);
@@ -77,12 +64,8 @@ class QueryTrace {
 
   // Sums over top-level stages (children subdivide their parent and are
   // excluded, so the sum equals the query's IoStats delta).
-  uint64_t TotalReads() const;
-  uint64_t TotalWrites() const;
-  uint64_t TotalSkipped() const;
-  uint64_t TotalCow() const;
-  uint64_t TotalHot() const;
-  uint64_t TotalPages() const { return TotalReads() + TotalWrites(); }
+  PageCounts Totals() const;
+  uint64_t TotalPages() const { return Totals().pages(); }
   double TotalWallMs() const;
 
   // Serializes the full trace (plan, stages, children, predictions).

@@ -21,11 +21,7 @@ uint64_t DurUs(double wall_ms) {
 std::string SpanArgs(const TraceSpan& span) {
   JsonWriter w;
   w.BeginObject();
-  w.Field("page_reads", span.page_reads);
-  w.Field("page_writes", span.page_writes);
-  w.Field("pages_skipped", span.pages_skipped);
-  w.Field("pages_cow", span.pages_cow);
-  w.Field("pages_hot", span.pages_hot);
+  for (const auto& c : kPageCounters) w.Field(c.name, span.*c.field);
   if (span.predicted_pages >= 0) {
     w.Field("predicted_pages", span.predicted_pages);
   }
@@ -91,10 +87,12 @@ void TraceEventWriter::AddTrace(const QueryTrace& trace) {
     w.BeginObject();
     w.Field("plan", trace.plan);
     w.Field("dq", trace.dq);
-    w.Field("pages", trace.TotalPages());
-    w.Field("pages_skipped", trace.TotalSkipped());
-    w.Field("pages_cow", trace.TotalCow());
-    w.Field("pages_hot", trace.TotalHot());
+    // The counters in total() as their sum, the others one by one.
+    const PageCounts totals = trace.Totals();
+    w.Field("pages", totals.pages());
+    for (const auto& c : kPageCounters) {
+      if (!c.in_total) w.Field(c.name, totals.*c.field);
+    }
     if (trace.predicted_total >= 0) {
       w.Field("predicted_pages", trace.predicted_total);
     }

@@ -142,10 +142,8 @@ StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
     out.num_false_drops += ws.false_drops;
   }
   if (trace == nullptr) return out;
-  const IoStats delta = store.stats() - before;
   TraceSpan* span = trace->AddStage("resolution");
-  span->page_reads = delta.reads();
-  span->page_writes = delta.writes();
+  *span += (store.stats() - before).counts();
   span->wall_ms = timer.ElapsedMs();
   span->candidates = static_cast<int64_t>(n);
   span->false_drops = static_cast<int64_t>(out.num_false_drops);
@@ -155,11 +153,7 @@ StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
   for (size_t w = 0; workers > 1 && w < states.size(); ++w) {
     TraceSpan child;
     child.name = "worker " + std::to_string(w);
-    child.page_reads = states[w].io.reads();
-    child.page_writes = states[w].io.writes();
-    child.pages_skipped = states[w].io.skips();
-    child.pages_cow = states[w].io.cows();
-    child.pages_hot = states[w].io.hots();
+    child += states[w].io.counts();
     child.wall_ms = states[w].wall_ms;
     child.candidates = static_cast<int64_t>(states[w].processed);
     child.false_drops = static_cast<int64_t>(states[w].false_drops);

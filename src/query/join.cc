@@ -208,14 +208,7 @@ StatusOr<JoinResult> ExecuteSetJoin(const JoinSideAccess& r,
     if (trace == nullptr) return;
     TraceSpan* span = trace->AddStage(name);
     span->wall_ms = timer.ElapsedMs();
-    if (total_stats) {
-      const IoStats delta = total_stats() - before;
-      span->page_reads = delta.reads();
-      span->page_writes = delta.writes();
-      span->pages_skipped = delta.skips();
-      span->pages_cow = delta.cows();
-      span->pages_hot = delta.hots();
-    }
+    if (total_stats) *span += (total_stats() - before).counts();
   };
   const auto snap = [&]() -> IoStats {
     return total_stats ? total_stats() : IoStats{};

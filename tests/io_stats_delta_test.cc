@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,56 @@ TEST(IoStatsTest, DeltaAcrossResetSaturates) {
   IoStats delta = IoStats(live) - before;
   EXPECT_EQ(delta.reads(), 0u);  // 4 - 100 saturates, not wraps
   EXPECT_EQ(delta.writes(), 0u);
+}
+
+// The positional constructor, the named accessors and counts() all follow
+// the counter table's order.
+TEST(IoStatsTest, PositionalConstructorAndAccessorsFollowTheTable) {
+  const IoStats stats{1, 2, 3, 4, 5};
+  EXPECT_EQ(stats.reads(), 1u);
+  EXPECT_EQ(stats.writes(), 2u);
+  EXPECT_EQ(stats.skips(), 3u);
+  EXPECT_EQ(stats.cows(), 4u);
+  EXPECT_EQ(stats.hots(), 5u);
+  EXPECT_EQ(stats.total(), 3u);
+  const PageCounts counts = stats.counts();
+  for (size_t i = 0; i < std::size(kPageCounters); ++i) {
+    EXPECT_EQ(counts.*kPageCounters[i].field, i + 1) << kPageCounters[i].name;
+  }
+}
+
+// Walks the counter table: copy, assignment, +=, saturating - and Reset
+// each carry every counter on its own, and total() counts exactly the rows
+// marked in_total.  A counter one of them forgets fails here by name.
+TEST(IoStatsTest, EveryCounterCopiesSumsSubtractsAndResets) {
+  const auto& live = kPageCountersOf<std::atomic<uint64_t>>;
+  for (size_t i = 0; i < std::size(kPageCounters); ++i) {
+    SCOPED_TRACE(kPageCounters[i].name);
+    // Checks that counter i reads `v` and every other counter reads zero.
+    const auto expect_only = [i](const IoStats& stats, uint64_t v) {
+      const PageCounts counts = stats.counts();
+      for (size_t j = 0; j < std::size(kPageCounters); ++j) {
+        EXPECT_EQ(counts.*kPageCounters[j].field, j == i ? v : 0u)
+            << kPageCounters[j].name;
+      }
+    };
+    IoStats seven;
+    (seven.*live[i].field).store(7);
+    expect_only(seven, 7);
+    EXPECT_EQ(seven.total(), kPageCounters[i].in_total ? 7u : 0u);
+
+    const IoStats copy(seven);
+    expect_only(copy, 7);
+    IoStats sum;
+    sum = seven;
+    expect_only(sum, 7);
+    sum += seven;
+    expect_only(sum, 14);
+    expect_only(sum - seven, 7);
+    expect_only(seven - sum, 0);  // saturates, not wraps
+    sum.Reset();
+    expect_only(sum, 0);
+  }
 }
 
 // Snapshots racing concurrent increments: every delta must be sane (no
