@@ -53,6 +53,7 @@ void FlightEvent::SetDelta(const IoStats& delta) {
   page_writes = static_cast<uint32_t>(delta.writes());
   pages_skipped = static_cast<uint32_t>(delta.skips());
   pages_cow = static_cast<uint32_t>(delta.cows());
+  pages_hot = static_cast<uint32_t>(delta.hots());
 }
 
 namespace {
@@ -69,7 +70,6 @@ FlightRecorder::FlightRecorder(size_t capacity)
       start_time_(std::chrono::steady_clock::now()) {}
 
 void FlightRecorder::Record(FlightEvent event) {
-  static_assert(sizeof(FlightEvent) <= kWords * 8);
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   event.seq = ticket;
   event.micros = static_cast<uint64_t>(
@@ -122,16 +122,17 @@ std::string FlightRecorder::PostmortemText(const std::string& reason) const {
          std::to_string(total_recorded()) + " recorded (ring capacity " +
          std::to_string(capacity()) + ")\n";
   out +=
-      "  seq        t_us op             r     w  skip   cow      lsn epoch"
-      " status detail\n";
+      "  seq        t_us op             r     w  skip   cow   hot      lsn"
+      " epoch status detail\n";
   char line[256];
   for (const FlightEvent& e : events) {
     std::snprintf(line, sizeof(line),
-                  "%5llu %11llu %-14s %5u %5u %5u %5u %8llu %5llu %6d %s\n",
+                  "%5llu %11llu %-14s %5u %5u %5u %5u %5u %8llu %5llu %6d"
+                  " %s\n",
                   static_cast<unsigned long long>(e.seq),
                   static_cast<unsigned long long>(e.micros), FlightOpName(e.op),
                   e.page_reads, e.page_writes, e.pages_skipped, e.pages_cow,
-                  static_cast<unsigned long long>(e.wal_lsn),
+                  e.pages_hot, static_cast<unsigned long long>(e.wal_lsn),
                   static_cast<unsigned long long>(e.epoch), e.status_code,
                   e.detail);
     out += line;
@@ -161,6 +162,7 @@ std::string FlightRecorder::PostmortemJson(const std::string& reason) const {
     w.Field("page_writes", static_cast<uint64_t>(e.page_writes));
     w.Field("pages_skipped", static_cast<uint64_t>(e.pages_skipped));
     w.Field("pages_cow", static_cast<uint64_t>(e.pages_cow));
+    w.Field("pages_hot", static_cast<uint64_t>(e.pages_hot));
     w.Field("detail", std::string(e.detail));
     w.EndObject();
   }

@@ -63,6 +63,7 @@ struct FlightEvent {
   uint32_t page_writes = 0;
   uint32_t pages_skipped = 0;
   uint32_t pages_cow = 0;
+  uint32_t pages_hot = 0;
   int32_t status_code = 0;  // StatusCode as int; 0 = OK
   FlightOp op = FlightOp::kQuery;
   char detail[47] = {};  // plan / error message, NUL-terminated, truncated
@@ -70,6 +71,12 @@ struct FlightEvent {
   void SetDetail(const std::string& s);
   void SetDelta(const IoStats& delta);
 };
+
+// The ring's slot layout is fixed: an event is 14 words, and its counters
+// are named 32-bit fields rather than a walk of the page-counter table, so
+// the signal-handler dump can read them without allocating.  A new field
+// must fit in the padding or shrink `detail`.
+static_assert(sizeof(FlightEvent) == 14 * 8, "FlightEvent must stay 14 words");
 
 class FlightRecorder {
  public:

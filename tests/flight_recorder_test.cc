@@ -42,7 +42,7 @@ TEST(FlightRecorderTest, EventsComeBackInOrderWithFields) {
     event.epoch = 7;
     event.wal_lsn = 40 + i;
     event.status_code = 0;
-    event.SetDelta(IoStats{3, 2, 1, 4});
+    event.SetDelta(IoStats{3, 2, 1, 4, 6});
     event.SetDetail("bssf smart(s=91)");
     recorder.Record(event);
   }
@@ -57,11 +57,27 @@ TEST(FlightRecorderTest, EventsComeBackInOrderWithFields) {
     EXPECT_EQ(events[i].page_writes, 2u);
     EXPECT_EQ(events[i].pages_skipped, 1u);
     EXPECT_EQ(events[i].pages_cow, 4u);
+    EXPECT_EQ(events[i].pages_hot, 6u);
     EXPECT_EQ(events[i].op, FlightOp::kInsert);
     EXPECT_STREQ(events[i].detail, "bssf smart(s=91)");
-    if (i > 0) EXPECT_GT(events[i].micros + 1, events[i - 1].micros);
+    if (i > 0) {
+      EXPECT_GT(events[i].micros + 1, events[i - 1].micros);
+    }
   }
   EXPECT_EQ(recorder.total_recorded(), 5u);
+  // Both postmortems carry every counter, the hot count included.
+  const std::string text = recorder.PostmortemText("fields");
+  EXPECT_NE(text.find("  r     w  skip   cow   hot "), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("insert             3     2     1     4     6 "),
+            std::string::npos)
+      << text;
+  const std::string json = recorder.PostmortemJson("fields");
+  EXPECT_NE(json.find("\"page_reads\":3,\"page_writes\":2,"
+                      "\"pages_skipped\":1,\"pages_cow\":4,"
+                      "\"pages_hot\":6,"),
+            std::string::npos)
+      << json;
 }
 
 TEST(FlightRecorderTest, RingKeepsOnlyTheMostRecent) {
@@ -197,7 +213,9 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpStaysConsistent) {
           // fingerprint must agree — a torn slot could not satisfy this.
           ASSERT_EQ(events[i].epoch, events[i].fingerprint);
           ASSERT_EQ(events[i].wal_lsn, events[i].fingerprint);
-          if (i > 0) ASSERT_GT(events[i].seq, events[i - 1].seq);
+          if (i > 0) {
+            ASSERT_GT(events[i].seq, events[i - 1].seq);
+          }
         }
         reads.fetch_add(1, std::memory_order_relaxed);
       } while (!stop.load(std::memory_order_relaxed));
