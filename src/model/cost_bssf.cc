@@ -84,21 +84,6 @@ double BssfExpectedSubsetSkippedPages(const DatabaseParams& db,
   });
 }
 
-double BssfExpectedHotPages(const DatabaseParams& db,
-                            const SignatureParams& sig, int64_t dq,
-                            int64_t capacity_pages, bool superset_scan) {
-  if (capacity_pages <= 0) return 0.0;
-  const double spp = static_cast<double>(BssfSlicePages(db));
-  const double m_q = ExpectedSignatureWeight(sig, dq);
-  const double scanned =
-      spp * (superset_scan ? m_q : static_cast<double>(sig.f) - m_q);
-  const double store_pages = spp * static_cast<double>(sig.f);
-  if (store_pages <= 0.0) return 0.0;
-  const double hit =
-      std::min(1.0, static_cast<double>(capacity_pages) / store_pages);
-  return scanned * hit;
-}
-
 double BssfSmartSupersetCost(const DatabaseParams& db,
                              const SignatureParams& sig, int64_t dt,
                              int64_t dq, int64_t* best_k) {

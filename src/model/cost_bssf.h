@@ -66,21 +66,6 @@ double BssfExpectedSubsetSkippedPages(const DatabaseParams& db,
                                       const SignatureParams& sig, int64_t dt,
                                       int64_t dq);
 
-// Expected slice-page reads a scan is served from the pinned hot tier
-// (extension; sig/hot_tier.h) instead of the page file.  Steady state with
-// uniform query elements: the tier pins `capacity_pages` of the F·spp slice
-// pages, so each of the scan's page reads hits with probability
-// min(1, capacity / (F·spp)) and
-//   E[hot] = scanned_pages · min(1, capacity / (F·spp)),
-// with scanned_pages = spp·m_q for T ⊇ Q and spp·(F − m_q) for T ⊆ Q.
-// A lower bound under skew: the tier pins the *hottest* pages, which a
-// skewed query stream rereads more often than the uniform rate.  The hot
-// term moves reads, it never removes them — RC in page accesses is
-// unchanged; only the reads-vs-hot split shifts.
-double BssfExpectedHotPages(const DatabaseParams& db,
-                            const SignatureParams& sig, int64_t dq,
-                            int64_t capacity_pages, bool superset_scan);
-
 // SC = ⌈N/(P·b)⌉·F + SC_OID.
 int64_t BssfStorageCost(const DatabaseParams& db, const SignatureParams& sig);
 

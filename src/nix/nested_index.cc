@@ -192,8 +192,9 @@ StatusOr<CandidateResult> NestedIndex::CandidatesSmartSuperset(
   return result;
 }
 
-StatusOr<CandidateResult> NestedIndex::Candidates(QueryKind kind,
-                                                  const ElementSet& query) {
+StatusOr<CandidateResult> NestedIndex::Candidates(
+    QueryKind kind, const ElementSet& query,
+    const ParallelExecutionContext* /*ctx*/) {
   switch (kind) {
     case QueryKind::kSuperset:
       return CandidatesSmartSuperset(query, query.size());

@@ -83,8 +83,11 @@ class NestedIndex : public SetAccessFacility {
   // UC_I = UC_D = rc·Dt.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
-  StatusOr<CandidateResult> Candidates(QueryKind kind,
-                                       const ElementSet& query) override;
+  using SetAccessFacility::Candidates;
+  // Serial only: the context is ignored.
+  StatusOr<CandidateResult> Candidates(
+      QueryKind kind, const ElementSet& query,
+      const ParallelExecutionContext* ctx) override;
 
   // SC = lp + nlp.
   uint64_t StoragePages() const override { return tree_->total_pages(); }

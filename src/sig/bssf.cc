@@ -585,11 +585,6 @@ StatusOr<std::vector<uint64_t>> BitSlicedSignatureFile::EqualsCandidateSlots(
 }
 
 StatusOr<CandidateResult> BitSlicedSignatureFile::Candidates(
-    QueryKind kind, const ElementSet& query) {
-  return Candidates(kind, query, nullptr);
-}
-
-StatusOr<CandidateResult> BitSlicedSignatureFile::Candidates(
     QueryKind kind, const ElementSet& query,
     const ParallelExecutionContext* ctx) {
   std::vector<uint64_t> slots;

@@ -107,8 +107,7 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   StatusOr<uint64_t> CompactTo(PageFile* new_slice_file,
                                PageFile* new_oid_file) const;
 
-  StatusOr<CandidateResult> Candidates(QueryKind kind,
-                                       const ElementSet& query) override;
+  using SetAccessFacility::Candidates;
   // Parallel candidate selection: slice scans fan out over `ctx` (serial
   // when null).  Same candidates and logical page-access totals.
   StatusOr<CandidateResult> Candidates(

@@ -92,19 +92,20 @@ class SetAccessFacility {
     return ApplyBatch({BatchOp{BatchOp::Kind::kRemove, oid, set_value}});
   }
 
-  // Returns candidate OIDs for the query.  `query` must be normalized.
-  virtual StatusOr<CandidateResult> Candidates(QueryKind kind,
-                                               const ElementSet& query) = 0;
-
-  // Parallel-aware variant: facilities that can fan candidate selection out
-  // over `ctx` (BSSF slice scans) override this; the default ignores the
-  // context and runs the serial path.  Results and logical page-access
-  // counts are identical either way.
+  // The one read method: returns candidate OIDs for the query.  `query`
+  // must be normalized.  Facilities that can fan candidate selection out
+  // over `ctx` (BSSF slice scans) do; the others ignore it, as all do when
+  // it is null.  Results and logical page-access counts are identical
+  // either way.
   virtual StatusOr<CandidateResult> Candidates(
       QueryKind kind, const ElementSet& query,
-      const ParallelExecutionContext* ctx) {
-    (void)ctx;
-    return Candidates(kind, query);
+      const ParallelExecutionContext* ctx) = 0;
+
+  // Serial candidate selection: Candidates with no execution context.
+  // Derived classes re-export it with `using SetAccessFacility::Candidates`.
+  StatusOr<CandidateResult> Candidates(QueryKind kind,
+                                       const ElementSet& query) {
+    return Candidates(kind, query, nullptr);
   }
 
   // Pages occupied by the facility's files (the paper's storage cost SC,

@@ -328,7 +328,8 @@ StatusOr<std::vector<uint64_t>> SequentialSignatureFile::ScanMatchingSlots(
 }
 
 StatusOr<CandidateResult> SequentialSignatureFile::Candidates(
-    QueryKind kind, const ElementSet& query) {
+    QueryKind kind, const ElementSet& query,
+    const ParallelExecutionContext* /*ctx*/) {
   BitVector query_sig = MakeSetSignature(query, config_);
   std::function<bool(const BitVector&)> matches;
   std::function<bool(PageId)> skip;

@@ -70,8 +70,11 @@ class SequentialSignatureFile : public SetAccessFacility {
   StatusOr<uint64_t> CompactTo(PageFile* new_signature_file,
                                PageFile* new_oid_file) const;
 
-  StatusOr<CandidateResult> Candidates(QueryKind kind,
-                                       const ElementSet& query) override;
+  using SetAccessFacility::Candidates;
+  // Serial only: the context is ignored.
+  StatusOr<CandidateResult> Candidates(
+      QueryKind kind, const ElementSet& query,
+      const ParallelExecutionContext* ctx) override;
 
   // SC = SC_SIG + SC_OID.
   uint64_t StoragePages() const override;
