@@ -7,7 +7,8 @@
 #   tools/run_sanitizers.sh address -R 'thread_pool|parallel|sharded'
 #   tools/run_sanitizers.sh undefined  # UBSan only
 #   tools/run_sanitizers.sh faults     # fault-injection suites under TSan
-#   tools/run_sanitizers.sh obs        # metrics/trace concurrency under TSan
+#   tools/run_sanitizers.sh obs        # metrics/trace concurrency (TSan) and
+#                                      # counter exporters (ASan)
 #   tools/run_sanitizers.sh batch      # batched write/delete suites under TSan
 #   tools/run_sanitizers.sh kernels    # SIMD kernel + skip-index suites
 #   tools/run_sanitizers.sh wal        # WAL group commit (TSan) + replay (ASan)
@@ -59,10 +60,16 @@ case "${1:-all}" in
   obs)
     # The observability hot paths are relaxed atomics read by concurrent
     # snapshots (MetricsRegistry, IoStats deltas, traced parallel queries);
-    # TSan vets exactly those interleavings.
+    # TSan vets exactly those interleavings.  The trace JSON, EXPLAIN,
+    # trace-event and storage-metric exporters assemble their keys and
+    # columns from the page-counter table, and the postmortems format every
+    # flight-event counter; ASan vets that string assembly.
     shift
     run_one thread -R \
       'metrics_test|io_stats_delta|query_trace|parallel_executor' \
+      "$@"
+    run_one address -R \
+      'io_stats_delta|query_trace|exporters_test|storage_metrics|flight_recorder' \
       "$@"
     ;;
   faults)
