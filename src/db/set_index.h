@@ -138,7 +138,7 @@ class SetIndex {
     // copy-on-write VersionedPageFile, each successful mutation publishes a
     // new epoch, and GetSnapshot() returns a pinned read-only view that
     // queries without the index lock (see db/snapshot.h).  Off by default:
-    // the CoW layer keeps page versions in memory and charges cow_copies,
+    // the CoW layer keeps page versions in memory and charges pages_cow,
     // and keeping it off leaves the paper-pinned page counts bit-identical
     // to the unwrapped files.
     bool enable_snapshots = false;

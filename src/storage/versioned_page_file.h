@@ -11,7 +11,7 @@
 //
 // Protocol (see DESIGN.md §14):
 //   - Adoption: construction copies every existing base page into an
-//     epoch-0 node (charged to IoStats::cow_copies), so readers never touch
+//     epoch-0 node (charged to IoStats::pages_cow), so readers never touch
 //     base pages and no read can race a base write.  Allocate() installs a
 //     zeroed node immediately for the same reason.
 //   - Writer: the single writer (the SetIndex write lock) pushes new head
