@@ -90,7 +90,7 @@ RunResult RunGroupCommit(size_t threads, uint64_t total_writes,
       for (;;) {
         const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= total_writes) break;
-        LogRecord rec = LogRecord::SingleInsert(Oid{i}, {set});
+        LogRecord rec = LogRecord::Mutation({}, {LogEntry{Oid{i}, {set}}});
         CheckOk(log->AppendAndCommit(rec).status(), "append+commit");
       }
     });

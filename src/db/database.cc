@@ -132,12 +132,18 @@ Status Database::Checkpoint() {
 
 StatusOr<Oid> Database::Insert(std::vector<ElementSet> attr_values) {
   return Timed(FlightOp::kInsert, "op.insert.latency_us",
-               [&] { return InsertImpl(std::move(attr_values)); });
+               [&]() -> StatusOr<Oid> {
+                 std::vector<std::vector<ElementSet>> one;
+                 one.push_back(std::move(attr_values));
+                 SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> oids,
+                                         ApplyBatchImpl(std::move(one), {}));
+                 return oids.front();
+               });
 }
 
 Status Database::Delete(Oid oid) {
   return Timed(FlightOp::kDelete, "op.delete.latency_us",
-               [&] { return DeleteImpl(oid); });
+               [&] { return ApplyBatchImpl({}, {oid}).status(); });
 }
 
 StatusOr<std::vector<Oid>> Database::ApplyBatch(const MultiWriteBatch& batch) {
@@ -219,14 +225,23 @@ StatusOr<std::unique_ptr<Database>> Database::Start(
   if (options.attributes.empty()) {
     return Status::InvalidArgument("at least one attribute required");
   }
-  for (const AttributeOptions& attr : options.attributes) {
-    if (attr.name.empty() && settings == nullptr) {
+  const auto& specs = options.attributes;
+  for (auto attr = specs.begin(); attr != specs.end(); ++attr) {
+    if (attr->name.empty() && settings == nullptr) {
       return Status::InvalidArgument("attribute name must not be empty");
     }
-    if (!attr.maintain_ssf && !attr.maintain_bssf && !attr.maintain_nix) {
+    if (!attr->maintain_ssf && !attr->maintain_bssf && !attr->maintain_nix) {
       return Status::InvalidArgument(
-          (attr.name.empty() ? "" : "attribute " + attr.name + ": ") +
+          (attr->name.empty() ? "" : "attribute " + attr->name + ": ") +
           "enable at least one facility");
+    }
+    // An attribute's files are named after it, so two with one name would
+    // share every file.
+    if (std::any_of(specs.begin(), attr, [&](const AttributeOptions& other) {
+          return other.name == attr->name;
+        })) {
+      return Status::InvalidArgument("duplicate attribute name: " +
+                                     attr->name);
     }
   }
   std::unique_ptr<Database> db(new Database(storage, options));
@@ -385,66 +400,6 @@ Status Database::CheckpointImpl() {
 
 // --- writes ----------------------------------------------------------------
 
-StatusOr<Oid> Database::InsertImpl(std::vector<ElementSet> attr_values) {
-  if (!poison_.ok()) return poison_;
-  if (attr_values.size() != attrs_.size()) {
-    return Status::InvalidArgument("attribute count mismatch");
-  }
-  for (ElementSet& set : attr_values) NormalizeSet(&set);
-  // With a WAL, log before applying: predict the physical OID and commit
-  // the record, then mutate.  The insert is acknowledged by the commit; the
-  // apply (or, after a crash, replay) realizes it.
-  uint64_t lsn = 0;
-  Oid predicted;
-  if (wal_ != nullptr) {
-    SIGSET_ASSIGN_OR_RETURN(predicted, store_->PeekNextOid(attr_values));
-    SIGSET_ASSIGN_OR_RETURN(lsn, wal_->AppendAndCommit(LogRecord::SingleInsert(
-                                     predicted, attr_values)));
-  }
-  StatusOr<Oid> oid = store_->Insert(attr_values);
-  Status applied = oid.status();
-  if (applied.ok() && predicted.valid() && *oid != predicted) {
-    applied = Status::Internal("store assigned " + oid->ToString() +
-                               " but the log predicted " +
-                               predicted.ToString());
-  }
-  for (size_t i = 0; applied.ok() && i < attrs_.size(); ++i) {
-    applied = attrs_[i]->ApplyBatch(
-        {BatchOp{BatchOp::Kind::kInsert, *oid, std::move(attr_values[i])}});
-  }
-  if (!applied.ok()) {
-    return wal_ != nullptr ? AbortAndPoison(lsn, applied) : applied;
-  }
-  PublishSnapshot();
-  return oid;
-}
-
-Status Database::DeleteImpl(Oid oid) {
-  if (!poison_.ok()) return poison_;
-  SIGSET_ASSIGN_OR_RETURN(MultiSetObject victim, store_->Get(oid));
-  // The record carries the victim's preimage (all attribute sets) so an
-  // aborted delete can be resurrected at recovery.
-  uint64_t lsn = 0;
-  if (wal_ != nullptr) {
-    SIGSET_ASSIGN_OR_RETURN(
-        lsn, wal_->AppendAndCommit(LogRecord::SingleDelete(oid, victim.attrs)));
-  }
-  // De-index every attribute first, store delete LAST: a crash mid-delete
-  // then leaves the object present in the store but (partially) missing
-  // from the indexes — never an index entry dangling at a missing object.
-  Status applied = Status::OK();
-  for (size_t i = 0; applied.ok() && i < attrs_.size(); ++i) {
-    applied = attrs_[i]->ApplyBatch(
-        {BatchOp{BatchOp::Kind::kRemove, oid, std::move(victim.attrs[i])}});
-  }
-  if (applied.ok()) applied = store_->Delete(oid);
-  if (!applied.ok()) {
-    return wal_ != nullptr ? AbortAndPoison(lsn, applied) : applied;
-  }
-  PublishSnapshot();
-  return Status::OK();
-}
-
 Status Database::AbortAndPoison(uint64_t lsn, const Status& cause) {
   // The record at `lsn` is durable but its apply failed partway: the
   // in-memory state no longer matches "fully applied".  Log an Abort so
@@ -464,11 +419,18 @@ StatusOr<std::vector<Oid>> Database::ApplyBatchImpl(
     std::vector<std::vector<ElementSet>> inserts,
     const std::vector<Oid>& deletes) {
   if (!poison_.ok()) return poison_;
+  // Check the whole batch before its first write, reading no page: a bad
+  // batch fails with nothing logged, stored or indexed.
   for (std::vector<ElementSet>& values : inserts) {
-    if (values.size() != attrs_.size()) {
-      return Status::InvalidArgument("attribute count mismatch");
-    }
     for (ElementSet& set : values) NormalizeSet(&set);
+    SIGSET_RETURN_IF_ERROR(store_->CheckRecord(values));
+  }
+  std::vector<Oid> sorted = deletes;
+  std::sort(sorted.begin(), sorted.end());
+  if (auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+      dup != sorted.end()) {
+    return Status::InvalidArgument("duplicate oid in batch delete: " +
+                                   dup->ToString());
   }
   // Fetch delete victims up front; this is why deleting a same-batch
   // insert is unsupported (victims resolve against the pre-batch store).
@@ -480,7 +442,9 @@ StatusOr<std::vector<Oid>> Database::ApplyBatchImpl(
   }
 
   // One record covers the whole batch: it commits (and is acknowledged)
-  // atomically — recovery applies all of it or, when aborted, none.
+  // atomically — recovery applies all of it or, when aborted, none.  The
+  // record is written before the store is touched, so it carries the OIDs
+  // the inserts will get.
   uint64_t lsn = 0;
   std::vector<Oid> predicted;
   if (wal_ != nullptr) {
@@ -496,8 +460,8 @@ StatusOr<std::vector<Oid>> Database::ApplyBatchImpl(
       ins_entries.push_back(LogEntry{predicted[i], inserts[i]});
     }
     SIGSET_ASSIGN_OR_RETURN(
-        lsn, wal_->AppendAndCommit(LogRecord::Batch(std::move(del_entries),
-                                                    std::move(ins_entries))));
+        lsn, wal_->AppendAndCommit(LogRecord::Mutation(
+                 std::move(del_entries), std::move(ins_entries))));
   }
 
   std::vector<Oid> new_oids;
@@ -514,21 +478,24 @@ StatusOr<std::vector<Oid>> Database::ApplyBatchImpl(
       new_oids.push_back(oid);
     }
     // One grouped application per (attribute, facility): removes first so
-    // freed slots are reused by this batch's inserts.
+    // freed slots are reused by this batch's inserts.  Each set is read for
+    // the last time here, so it moves into its op.
     for (size_t a = 0; a < attrs_.size(); ++a) {
       std::vector<BatchOp> ops;
       ops.reserve(deletes.size() + new_oids.size());
       for (size_t i = 0; i < victims.size(); ++i) {
-        ops.push_back(
-            BatchOp{BatchOp::Kind::kRemove, deletes[i], victims[i].attrs[a]});
+        ops.push_back(BatchOp{BatchOp::Kind::kRemove, deletes[i],
+                              std::move(victims[i].attrs[a])});
       }
       for (size_t i = 0; i < new_oids.size(); ++i) {
-        ops.push_back(
-            BatchOp{BatchOp::Kind::kInsert, new_oids[i], inserts[i][a]});
+        ops.push_back(BatchOp{BatchOp::Kind::kInsert, new_oids[i],
+                              std::move(inserts[i][a])});
       }
       SIGSET_RETURN_IF_ERROR(attrs_[a]->ApplyBatch(ops));
     }
-    // Store deletes LAST — same crash ordering as Delete().
+    // Store deletes LAST: a crash mid-batch then leaves an object present
+    // in the store but (partially) missing from the indexes, never an
+    // index entry dangling at a missing object.
     for (Oid oid : deletes) SIGSET_RETURN_IF_ERROR(store_->Delete(oid));
     return Status::OK();
   };

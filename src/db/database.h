@@ -161,16 +161,20 @@ class Database {
   Status Checkpoint();
 
   // Stores an object; `attr_values[i]` is the value of attribute i (the
-  // order of Options::attributes).  Values are normalized in place.
+  // order of Options::attributes).  Values are normalized in place.  A
+  // batch of one insert (see ApplyBatch).
   StatusOr<Oid> Insert(std::vector<ElementSet> attr_values);
 
   // De-indexes all attributes, then deletes the object from the store (the
   // store delete is LAST so a crash cannot leave dangling index entries).
+  // A batch of one delete.
   Status Delete(Oid oid);
 
   // Applies a group of inserts and deletes with per-facility write
   // coalescing (see SetIndex::ApplyBatch).  Returns the OIDs of the batch's
-  // inserts, in order.  Deleting an OID inserted by the same batch is not
+  // inserts, in order.  A batch that deletes one OID twice, or holds a
+  // record too large for one page, fails with kInvalidArgument before
+  // anything is written.  Deleting an OID inserted by the same batch is not
   // supported.
   StatusOr<std::vector<Oid>> ApplyBatch(const MultiWriteBatch& batch);
 
@@ -327,8 +331,9 @@ class Database {
   template <typename Fn>
   auto Timed(FlightOp op, const char* metric, Fn&& body);
   Status CheckpointImpl();
-  StatusOr<Oid> InsertImpl(std::vector<ElementSet> attr_values);
-  Status DeleteImpl(Oid oid);
+  // The one mutation body: Insert and Delete are batches of one.  It checks
+  // the whole batch, logs it as one record, applies it to the store and
+  // every facility, and publishes an epoch.
   StatusOr<std::vector<Oid>> ApplyBatchImpl(
       std::vector<std::vector<ElementSet>> inserts,
       const std::vector<Oid>& deletes);

@@ -74,24 +74,16 @@ bool GetEntry(Reader* r, LogEntry* e) {
 
 }  // namespace
 
-LogRecord LogRecord::SingleInsert(Oid oid, std::vector<ElementSet> sets) {
+LogRecord LogRecord::Mutation(std::vector<LogEntry> deletes,
+                              std::vector<LogEntry> inserts) {
   LogRecord rec;
-  rec.type = LogRecordType::kInsert;
-  rec.inserts.push_back({oid, std::move(sets)});
-  return rec;
-}
-
-LogRecord LogRecord::SingleDelete(Oid oid, std::vector<ElementSet> preimage) {
-  LogRecord rec;
-  rec.type = LogRecordType::kDelete;
-  rec.deletes.push_back({oid, std::move(preimage)});
-  return rec;
-}
-
-LogRecord LogRecord::Batch(std::vector<LogEntry> deletes,
-                           std::vector<LogEntry> inserts) {
-  LogRecord rec;
-  rec.type = LogRecordType::kBatch;
+  if (deletes.size() + inserts.size() != 1) {
+    rec.type = LogRecordType::kBatch;
+  } else if (inserts.empty()) {
+    rec.type = LogRecordType::kDelete;
+  } else {
+    rec.type = LogRecordType::kInsert;
+  }
   rec.deletes = std::move(deletes);
   rec.inserts = std::move(inserts);
   return rec;

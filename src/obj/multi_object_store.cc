@@ -161,10 +161,9 @@ StatusOr<Oid> MultiObjectStore::Insert(
   return Oid::FromLocation(new_page, *slot);
 }
 
-StatusOr<Oid> MultiObjectStore::PeekNextOid(
+Status MultiObjectStore::CheckRecord(
     const std::vector<ElementSet>& attr_values) const {
-  SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> oids, PeekOids({attr_values}));
-  return oids.front();
+  return Encode(attr_values, num_attributes_).status();
 }
 
 StatusOr<std::vector<Oid>> MultiObjectStore::PeekOids(

@@ -53,6 +53,11 @@ class MultiObjectStore {
   // equal num_attributes().
   StatusOr<Oid> Insert(const std::vector<ElementSet>& attr_values);
 
+  // The kInvalidArgument Insert would return for `attr_values` (a wrong
+  // attribute count, or a record too large for one page), or OK; reads no
+  // page, so a batch can be checked whole before its first write.
+  Status CheckRecord(const std::vector<ElementSet>& attr_values) const;
+
   // Fetches an object (one page read).  A non-null `io` receives the charge
   // instead of the file's counters (thread-local accounting for parallel
   // resolution workers).
@@ -73,9 +78,6 @@ class MultiObjectStore {
   // before touching the store (log-before-apply); these predict it by
   // simulating Insert's choice: the room list from memory, the tail page
   // on a scratch copy.
-
-  // The OID Insert(attr_values) would assign right now.
-  StatusOr<Oid> PeekNextOid(const std::vector<ElementSet>& attr_values) const;
 
   // The OIDs a sequence of Inserts would assign (simulates room-page and
   // tail-page fills and fresh-page starts across the whole batch).

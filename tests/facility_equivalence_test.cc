@@ -98,9 +98,15 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{1000, 3, 12, 3, 80},
         EquivalenceCase{2500, 3, 16, 4, 100}),
     [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
-      return "F" + std::to_string(info.param.f) + "m" +
-             std::to_string(info.param.m) + "Dt" +
-             std::to_string(info.param.dt);
+      // Appended piece by piece: GCC 12 warns (-Wrestrict) on the inlined
+      // `"F" + std::to_string(...)` chain.
+      std::string name = "F";
+      name += std::to_string(info.param.f);
+      name += "m";
+      name += std::to_string(info.param.m);
+      name += "Dt";
+      name += std::to_string(info.param.dt);
+      return name;
     });
 
 // Deletion equivalence: removing objects keeps all facilities consistent.

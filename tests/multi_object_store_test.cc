@@ -185,11 +185,11 @@ class StoreChurnTest : public ::testing::Test {
   // Inserts one object, checking the prediction and that its OID is new.
   void InsertOne() {
     std::vector<ElementSet> value = Object();
-    auto predicted = store_.PeekNextOid(value);
+    auto predicted = store_.PeekOids({value});
     ASSERT_TRUE(predicted.ok());
     auto oid = store_.Insert(value);
     ASSERT_TRUE(oid.ok());
-    EXPECT_EQ(*oid, *predicted);
+    EXPECT_EQ(*predicted, std::vector<Oid>{*oid});
     EXPECT_TRUE(ever_.insert(oid->value()).second)
         << oid->ToString() << " handed out twice";
     live_.push_back(*oid);
@@ -269,10 +269,11 @@ TEST_P(MixedChurnTest, PeeksMatchInserts) {
     const uint64_t u = rng.NextBelow(100);
     if (u < 55) {
       std::vector<ElementSet> value = object();
-      auto predicted = store.PeekNextOid(value);
+      auto predicted = store.PeekOids({value});
       auto oid = store.Insert(value);
       ASSERT_TRUE(predicted.ok() && oid.ok());
-      ASSERT_EQ(*oid, *predicted) << "singleton insert at op " << op;
+      ASSERT_EQ(*predicted, std::vector<Oid>{*oid})
+          << "singleton insert at op " << op;
       live.push_back(*oid);
     } else if (u < 95) {
       delete_one();

@@ -72,11 +72,11 @@ void ExpectSameRecord(const LogRecord& got, const LogRecord& want,
 // All five record types, in one sequence the scanner must reproduce.
 std::vector<LogRecord> SampleRecords() {
   std::vector<LogRecord> recs;
-  recs.push_back(LogRecord::SingleInsert(Oid::FromLocation(3, 1),
-                                         {Set({1, 5, 9}), Set({2, 4})}));
+  recs.push_back(LogRecord::Mutation(
+      {}, {{Oid::FromLocation(3, 1), {Set({1, 5, 9}), Set({2, 4})}}}));
   recs.push_back(
-      LogRecord::SingleDelete(Oid::FromLocation(3, 1), {Set({1, 5, 9})}));
-  recs.push_back(LogRecord::Batch(
+      LogRecord::Mutation({{Oid::FromLocation(3, 1), {Set({1, 5, 9})}}}, {}));
+  recs.push_back(LogRecord::Mutation(
       {{Oid::FromLocation(4, 0), {Set({7})}}},
       {{Oid::FromLocation(4, 1), {Set({8, 11})}},
        {Oid::FromLocation(4, 2), {Set({12, 13, 14})}}}));
@@ -107,6 +107,24 @@ TEST(WalLogTest, RoundTripAllRecordTypes) {
   }
   EXPECT_EQ(reopened->log->start_lsn(), 0u);
   EXPECT_EQ(reopened->log->last_lsn(), recs.size());
+}
+
+// Mutation writes a lone insert or a lone delete in its single-entry form
+// and anything else as a batch.  A single-entry payload is the entry alone,
+// 8 bytes shorter than the batch form with its two counts.
+TEST(WalLogTest, MutationPicksTheRecordTypeFromItsEntries) {
+  const LogEntry a{Oid::FromLocation(3, 1), {Set({1, 5, 9})}};
+  const LogEntry b{Oid::FromLocation(3, 2), {Set({2})}};
+  EXPECT_EQ(LogRecord::Mutation({}, {a}).type, LogRecordType::kInsert);
+  EXPECT_EQ(LogRecord::Mutation({a}, {}).type, LogRecordType::kDelete);
+  EXPECT_EQ(LogRecord::Mutation({a}, {b}).type, LogRecordType::kBatch);
+  EXPECT_EQ(LogRecord::Mutation({}, {a, b}).type, LogRecordType::kBatch);
+  EXPECT_EQ(LogRecord::Mutation({a, b}, {}).type, LogRecordType::kBatch);
+  EXPECT_EQ(LogRecord::Mutation({}, {}).type, LogRecordType::kBatch);
+  LogRecord as_batch = LogRecord::Mutation({}, {a});
+  as_batch.type = LogRecordType::kBatch;
+  EXPECT_EQ(LogRecord::Mutation({}, {a}).SerializePayload().size() + 8,
+            as_batch.SerializePayload().size());
 }
 
 TEST(WalLogTest, EmptyLogScansToNothing) {

@@ -112,10 +112,15 @@ case "${1:-all}" in
     # condvars with concurrent committers — TSan vets the handoff (the
     # crash-fuzz suite also drives 4-thread replicas through it).  Replay
     # parses raw frame bytes from torn, bit-flipped, and truncated logs —
-    # ASan vets the scanner's bounds.
+    # ASan vets the scanner's bounds.  Insert, Delete and ApplyBatch share
+    # one logged mutation body, so the suites that drive the singleton
+    # entry points (with the reclaimer thread and telemetry on) and the
+    # store's OID prediction run under both as well.
     shift
-    run_one thread -R 'wal_log|crash_recovery|query_differential_fuzz' "$@"
-    run_one address -R 'wal_log|crash_recovery|query_differential_fuzz' "$@"
+    suites='wal_log|crash_recovery|query_differential_fuzz'
+    suites+='|database_test|write_batch|telemetry_test|multi_object_store'
+    run_one thread -R "${suites}" "$@"
+    run_one address -R "${suites}" "$@"
     ;;
   snapshots)
     # The MVCC-lite read path is lock-free by design: writers push CoW page
