@@ -378,15 +378,15 @@ Status BTree::FreeChain(PageId first) {
 Status BTree::ReadOverflowChain(PageId first, uint32_t expected,
                                 std::vector<Oid>* out) const {
   out->reserve(out->size() + expected);
-  Page page;
+  thread_local Page scratch;
   PageId current = first;
   while (current != kInvalidPage) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(current, &page));
-    uint16_t count = page.ReadAt<uint16_t>(4);
+    SIGSET_ASSIGN_OR_RETURN(const Page* page, file_->View(current, &scratch));
+    uint16_t count = page->ReadAt<uint16_t>(4);
     for (uint16_t i = 0; i < count; ++i) {
-      out->push_back(Oid(page.ReadAt<uint64_t>(kOverflowHeader + i * 8)));
+      out->push_back(Oid(page->ReadAt<uint64_t>(kOverflowHeader + i * 8)));
     }
-    current = page.ReadAt<uint32_t>(0);
+    current = page->ReadAt<uint32_t>(0);
   }
   return Status::OK();
 }
@@ -739,15 +739,18 @@ Status BTree::ValidateStructure() const {
 // ---- operations ----
 
 StatusOr<std::vector<Oid>> BTree::Lookup(uint64_t key) const {
-  // Lookup runs on concurrent readers, so its page buffer is per thread;
-  // reusing it spares zero-filling a fresh 4 KiB Page on every call.
-  thread_local Page page;
+  // Lookup runs on concurrent readers, so its scratch page is per thread;
+  // reusing it spares zero-filling a fresh 4 KiB Page on every call, and
+  // an in-memory file's view needs no scratch at all.
+  thread_local Page scratch;
+  const Page* view = nullptr;
   PageId current = root_;
   while (true) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(current, &page));
-    if (NodeType(page) == kLeafType) break;
-    current = ChildAt(page, ChildIndex(page, key));
+    SIGSET_ASSIGN_OR_RETURN(view, file_->View(current, &scratch));
+    if (NodeType(*view) == kLeafType) break;
+    current = ChildAt(*view, ChildIndex(*view, key));
   }
+  const Page& page = *view;
   const size_t slot = FindSlot(page, key);
   if (slot == NumEntries(page)) return std::vector<Oid>{};
   const size_t off = RecordOffset(page, slot);

@@ -329,12 +329,14 @@ StatusOr<MultiSetObject> MultiObjectStore::Get(Oid oid, IoStats* io) const {
 Status MultiObjectStore::GetInto(Oid oid, MultiSetObject* out,
                                  IoStats* io) const {
   if (!oid.valid()) return Status::InvalidArgument("invalid oid");
-  Page page;
-  SIGSET_RETURN_IF_ERROR(
-      file_->Read(oid.page(), &page, io != nullptr ? io : &file_->stats()));
-  SlottedPage sp(&page);
+  // Resolution fetches every candidate through here, on concurrent
+  // workers: a per-thread scratch page is never zero-filled per call.
+  thread_local Page scratch;
+  SIGSET_ASSIGN_OR_RETURN(
+      const Page* page,
+      file_->View(oid.page(), &scratch, io != nullptr ? io : &file_->stats()));
   uint16_t len = 0;
-  const uint8_t* rec = sp.Get(oid.slot(), &len);
+  const uint8_t* rec = SlottedPage::Get(*page, oid.slot(), &len);
   if (rec == nullptr) {
     return Status::NotFound("no object at " + oid.ToString());
   }

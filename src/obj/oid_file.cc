@@ -75,11 +75,12 @@ StatusOr<Oid> OidFile::Get(uint64_t slot) const {
   if (slot >= num_entries_) {
     return Status::OutOfRange("oid slot out of range");
   }
-  Page page;
-  SIGSET_RETURN_IF_ERROR(
-      file_->Read(static_cast<PageId>(slot / kOidsPerPage), &page));
+  thread_local Page scratch;
+  SIGSET_ASSIGN_OR_RETURN(
+      const Page* page,
+      file_->View(static_cast<PageId>(slot / kOidsPerPage), &scratch));
   uint64_t raw =
-      page.ReadAt<uint64_t>((slot % kOidsPerPage) * kOidBytes);
+      page->ReadAt<uint64_t>((slot % kOidsPerPage) * kOidBytes);
   if (raw & kDeleteFlag) return Oid();
   return Oid(raw);
 }
@@ -88,7 +89,8 @@ StatusOr<std::vector<Oid>> OidFile::GetMany(
     const std::vector<uint64_t>& slots) const {
   std::vector<Oid> out;
   out.reserve(slots.size());
-  Page page;
+  thread_local Page scratch;
+  const Page* page = nullptr;
   PageId loaded = kInvalidPage;
   for (uint64_t slot : slots) {
     if (slot >= num_entries_) {
@@ -96,10 +98,10 @@ StatusOr<std::vector<Oid>> OidFile::GetMany(
     }
     PageId page_no = static_cast<PageId>(slot / kOidsPerPage);
     if (page_no != loaded) {
-      SIGSET_RETURN_IF_ERROR(file_->Read(page_no, &page));
+      SIGSET_ASSIGN_OR_RETURN(page, file_->View(page_no, &scratch));
       loaded = page_no;
     }
-    uint64_t raw = page.ReadAt<uint64_t>((slot % kOidsPerPage) * kOidBytes);
+    uint64_t raw = page->ReadAt<uint64_t>((slot % kOidsPerPage) * kOidBytes);
     if ((raw & kDeleteFlag) == 0) out.push_back(Oid(raw));
   }
   return out;
@@ -219,14 +221,14 @@ Status OidFile::SetMany(
 StatusOr<std::vector<std::pair<uint64_t, Oid>>> OidFile::LiveEntries() const {
   std::vector<std::pair<uint64_t, Oid>> out;
   out.reserve(num_live_);
-  Page page;
+  thread_local Page scratch;
   const PageId used_pages = UsedPages();
   for (PageId p = 0; p < used_pages; ++p) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(p, &page));
+    SIGSET_ASSIGN_OR_RETURN(const Page* page, file_->View(p, &scratch));
     uint64_t entries_on_page = std::min<uint64_t>(
         kOidsPerPage, num_entries_ - uint64_t{p} * kOidsPerPage);
     for (uint64_t i = 0; i < entries_on_page; ++i) {
-      uint64_t raw = page.ReadAt<uint64_t>(i * kOidBytes);
+      uint64_t raw = page->ReadAt<uint64_t>(i * kOidBytes);
       if ((raw & kDeleteFlag) == 0) {
         out.emplace_back(uint64_t{p} * kOidsPerPage + i, Oid(raw));
       }

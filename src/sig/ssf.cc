@@ -305,7 +305,7 @@ StatusOr<std::vector<uint64_t>> SequentialSignatureFile::ScanMatchingSlots(
     const std::function<bool(const BitVector&)>& matches,
     const std::function<bool(PageId)>* skip_page) const {
   std::vector<uint64_t> slots;
-  Page page;
+  thread_local Page scratch;
   BitVector sig(config_.f);
   uint64_t slot = 0;
   for (PageId p = 0; p < signature_file_->num_pages() && slot < num_signatures_;
@@ -317,10 +317,11 @@ StatusOr<std::vector<uint64_t>> SequentialSignatureFile::ScanMatchingSlots(
                                     sigs_per_page_);
       continue;
     }
-    SIGSET_RETURN_IF_ERROR(signature_file_->Read(p, &page));
+    SIGSET_ASSIGN_OR_RETURN(const Page* page,
+                            signature_file_->View(p, &scratch));
     for (uint32_t i = 0; i < sigs_per_page_ && slot < num_signatures_;
          ++i, ++slot) {
-      ExtractBits(page.data(), static_cast<size_t>(i) * config_.f, &sig);
+      ExtractBits(page->data(), static_cast<size_t>(i) * config_.f, &sig);
       if (matches(sig)) slots.push_back(slot);
     }
   }

@@ -11,13 +11,20 @@ StatusOr<PageId> InMemoryPageFile::Allocate() {
 }
 
 Status InMemoryPageFile::Read(PageId id, Page* out, IoStats* io) {
+  SIGSET_ASSIGN_OR_RETURN(const Page* page,
+                          InMemoryPageFile::View(id, out, io));
+  *out = *page;
+  return Status::OK();
+}
+
+StatusOr<const Page*> InMemoryPageFile::View(PageId id, Page* /*scratch*/,
+                                             IoStats* io) {
   if (id >= pages_.size()) {
     return Status::OutOfRange("read past end of " + name_ + " page " +
                               std::to_string(id));
   }
-  *out = *pages_[id];
   io->AddRead();
-  return Status::OK();
+  return pages_[id].get();
 }
 
 Status InMemoryPageFile::Write(PageId id, const Page& page, IoStats* io) {

@@ -45,10 +45,29 @@ class PageFile {
   // Writes `page` at `id`, charging one page write to `*io`.
   virtual Status Write(PageId id, const Page& page, IoStats* io) = 0;
 
+  // A read-only view of page `id`: charges one page read to `*io`, with
+  // the failpoints and range errors of Read, and returns the page's bytes.
+  // Where they already sit in memory (InMemoryPageFile, the CoW version
+  // nodes) it returns them in place; otherwise it reads into `*scratch` and
+  // returns `scratch`, which is this default.  Lifetime rule: the caller
+  // uses the view only inside the function that took it.  It is never
+  // stored in a member or returned, never held across a write to this
+  // file, and its scratch is never passed to a callee.  For an
+  // EpochReadView, the reader's pin keeps the viewed version node alive.
+  // CachedPageFile keeps this default: another thread can evict a frame,
+  // so a pointer into the pool would need a pin.
+  virtual StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) {
+    SIGSET_RETURN_IF_ERROR(Read(id, scratch, io));
+    return scratch;
+  }
+
   // Convenience forms charging this file's own counters.
   Status Read(PageId id, Page* out) { return Read(id, out, &stats()); }
   Status Write(PageId id, const Page& page) {
     return Write(id, page, &stats());
+  }
+  StatusOr<const Page*> View(PageId id, Page* scratch) {
+    return View(id, scratch, &stats());
   }
 
   // Flushes buffered writes to stable storage.  The in-memory backend is
@@ -71,6 +90,7 @@ class InMemoryPageFile : public PageFile {
   explicit InMemoryPageFile(std::string name) : name_(std::move(name)) {}
 
   using PageFile::Read;
+  using PageFile::View;
   using PageFile::Write;
 
   const std::string& name() const override { return name_; }
@@ -80,6 +100,8 @@ class InMemoryPageFile : public PageFile {
 
   StatusOr<PageId> Allocate() override;
   Status Read(PageId id, Page* out, IoStats* io) override;
+  // Returns the stored page itself; `scratch` is unused.
+  StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) override;
   Status Write(PageId id, const Page& page, IoStats* io) override;
 
   IoStats& stats() override { return stats_; }

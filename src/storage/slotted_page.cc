@@ -70,19 +70,21 @@ std::optional<uint16_t> SlottedPage::Insert(const uint8_t* data, uint16_t len) {
   return slots;
 }
 
-const uint8_t* SlottedPage::Get(uint16_t slot, uint16_t* len) const {
-  if (slot >= num_slots()) return nullptr;
-  uint16_t off = page_->ReadAt<uint16_t>(SlotDirOffset(slot));
-  uint16_t l = page_->ReadAt<uint16_t>(SlotDirOffset(slot) + 2);
+const uint8_t* SlottedPage::Get(const Page& page, uint16_t slot,
+                                uint16_t* len) {
+  if (slot >= page.ReadAt<uint16_t>(0)) return nullptr;
+  uint16_t off = page.ReadAt<uint16_t>(SlotDirOffset(slot));
+  uint16_t l = page.ReadAt<uint16_t>(SlotDirOffset(slot) + 2);
   if (l == 0) return nullptr;  // tombstone
   if (off + static_cast<size_t>(l) > kPageSize) return nullptr;
   *len = l;
-  return page_->data() + off;
+  return page.data() + off;
 }
 
 uint8_t* SlottedPage::GetMutable(uint16_t slot, uint16_t* len) {
-  return const_cast<uint8_t*>(
-      static_cast<const SlottedPage*>(this)->Get(slot, len));
+  const uint8_t* record = Get(slot, len);
+  return record == nullptr ? nullptr
+                           : page_->data() + (record - page_->data());
 }
 
 void SlottedPage::Delete(uint16_t slot) {

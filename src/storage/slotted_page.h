@@ -59,9 +59,15 @@ class SlottedPage {
   // Appends a record; returns its slot number, or nullopt if full.
   std::optional<uint16_t> Insert(const uint8_t* data, uint16_t len);
 
-  // Returns a pointer into the page for slot `slot`, or nullptr for
+  // Returns a pointer into `page` for slot `slot`, or nullptr for
   // tombstones / out-of-range slots.  `*len` receives the record length.
-  const uint8_t* Get(uint16_t slot, uint16_t* len) const;
+  // Readers holding a read-only page view use this form.
+  static const uint8_t* Get(const Page& page, uint16_t slot, uint16_t* len);
+
+  // Get on the wrapped page.
+  const uint8_t* Get(uint16_t slot, uint16_t* len) const {
+    return Get(*page_, slot, len);
+  }
   uint8_t* GetMutable(uint16_t slot, uint16_t* len);
 
   // Marks `slot` as deleted.  Its heap bytes stay in place until Compact().
@@ -85,7 +91,7 @@ class SlottedPage {
  private:
   static constexpr size_t kHeaderBytes = 4;
 
-  size_t SlotDirOffset(uint16_t slot) const {
+  static size_t SlotDirOffset(uint16_t slot) {
     return kHeaderBytes + static_cast<size_t>(slot) * kSlotEntryBytes;
   }
 

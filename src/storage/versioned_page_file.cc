@@ -131,8 +131,24 @@ Status VersionedPageFile::Read(PageId id, Page* out, IoStats* io) {
   return ReadAtEpoch(id, kLatestEpoch, out, io);
 }
 
+StatusOr<const Page*> VersionedPageFile::View(PageId id, Page* /*scratch*/,
+                                              IoStats* io) {
+  return ViewAtEpoch(id, kLatestEpoch, io);
+}
+
 Status VersionedPageFile::ReadAtEpoch(PageId id, uint64_t at, Page* out,
                                       IoStats* io) const {
+  SIGSET_ASSIGN_OR_RETURN(const Page* page, ViewAtEpoch(id, at, io));
+  std::memcpy(out->data(), page->data(), kPageSize);
+  return Status::OK();
+}
+
+StatusOr<const Page*> VersionedPageFile::ViewAtEpoch(PageId id, uint64_t at,
+                                                     IoStats* io) const {
+  // Allocated after `at` was published (or never adopted): the page did
+  // not exist at the pinned epoch, so it reads as zeroes, the allocate-time
+  // image.
+  static const Page kZeroPage;
   SIGSET_FAILPOINT("versioned.read");
   if (id >= num_pages()) {
     return Status::InvalidArgument("page " + std::to_string(id) +
@@ -145,14 +161,7 @@ Status VersionedPageFile::ReadAtEpoch(PageId id, uint64_t at, Page* out,
   while (node != nullptr && node->epoch > at) {
     node = node->next.load(std::memory_order_acquire);
   }
-  if (node == nullptr) {
-    // Allocated after `at` was published (or never adopted): the page did
-    // not exist at the pinned epoch — serve zeroes, the allocate-time image.
-    out->Zero();
-    return Status::OK();
-  }
-  std::memcpy(out->data(), node->page.data(), kPageSize);
-  return Status::OK();
+  return node != nullptr ? &node->page : &kZeroPage;
 }
 
 Status VersionedPageFile::Write(PageId id, const Page& page, IoStats* io) {

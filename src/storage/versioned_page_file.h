@@ -72,6 +72,7 @@ class VersionedPageFile : public PageFile {
   ~VersionedPageFile() override;
 
   using PageFile::Read;
+  using PageFile::View;
   using PageFile::Write;
 
   const std::string& name() const override { return base_->name(); }
@@ -80,8 +81,10 @@ class VersionedPageFile : public PageFile {
   }
 
   StatusOr<PageId> Allocate() override;
-  // Read() serves the newest version (the writer's own view).
+  // Read() and View() serve the newest version (the writer's own view);
+  // View returns the head node's page in place.
   Status Read(PageId id, Page* out, IoStats* io) override;
+  StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) override;
   Status Write(PageId id, const Page& page, IoStats* io) override;
   Status Sync() override;
 
@@ -90,9 +93,14 @@ class VersionedPageFile : public PageFile {
   IoStats& stats() override { return base_->stats(); }
   const IoStats& stats() const override { return base_->stats(); }
 
-  // Lock-free snapshot read: copies the newest version with epoch <= at
-  // into `*out` (kLatestEpoch = newest).  A page allocated after `at` was
-  // published reads as zeroes.  Charges one page read to `*io`.
+  // Lock-free snapshot view: the newest version with epoch <= at
+  // (kLatestEpoch = newest), in place, or a shared all-zero page when the
+  // page was allocated after `at` was published.  Charges one page read to
+  // `*io`.  A reader pinned at `at` may hold the pointer until it unpins:
+  // Reclaim never frees the node a pinned epoch sees.
+  StatusOr<const Page*> ViewAtEpoch(PageId id, uint64_t at, IoStats* io) const;
+
+  // ViewAtEpoch copied into `*out`.
   Status ReadAtEpoch(PageId id, uint64_t at, Page* out, IoStats* io) const;
 
   // Writes every dirty head version through to the base file (writer lock
@@ -178,6 +186,7 @@ class EpochReadView : public PageFile {
       : file_(file), epoch_(epoch), name_(file->name() + "@snapshot") {}
 
   using PageFile::Read;
+  using PageFile::View;
 
   const std::string& name() const override { return name_; }
   PageId num_pages() const override { return file_->num_pages(); }
@@ -187,6 +196,11 @@ class EpochReadView : public PageFile {
   }
   Status Read(PageId id, Page* out, IoStats* io) override {
     return file_->ReadAtEpoch(id, epoch_, out, io);
+  }
+  // The version visible at the epoch, in place; `scratch` is unused.
+  StatusOr<const Page*> View(PageId id, Page* /*scratch*/,
+                             IoStats* io) override {
+    return file_->ViewAtEpoch(id, epoch_, io);
   }
   Status Write(PageId, const Page&, IoStats*) override {
     return Status::FailedPrecondition("snapshot view is read-only");

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -259,6 +260,60 @@ TEST_F(VersionedPageFileTest, ManagerDrivenReclaimRespectsPins) {
   EXPECT_GE(epochs.total_reclaimed(), 3u);
   ASSERT_TRUE(file->ReadAtEpoch(0, 3, &out, nullptr).ok());
   EXPECT_EQ(out.data()[0], 'D');
+  epochs.Shutdown();
+}
+
+// A view lends the pinned version node in place.  The pin keeps that node
+// alive: rewriting the page, publishing and reclaiming (whose freed nodes
+// the writer then reuses) leave the viewed bytes as they were, while a
+// reader thread keeps checking them.
+TEST_F(VersionedPageFileTest, PinnedViewSurvivesRewritesAndReclaim) {
+  ASSERT_TRUE(base_.Allocate().ok());
+  ASSERT_TRUE(base_.Write(0, FilledPage('A')).ok());
+  EpochManager epochs;
+  auto wrapped = VersionedPageFile::Wrap(&base_, epochs.published_cell());
+  ASSERT_TRUE(wrapped.ok());
+  VersionedPageFile* file = wrapped->get();
+  epochs.RegisterReclaimer(
+      [file](uint64_t oldest) { return file->Reclaim(oldest); });
+  ASSERT_TRUE(file->Write(0, FilledPage('B')).ok());
+  epochs.Publish(MakeState(1));
+
+  EpochPin pin = epochs.Pin();  // holds epoch 1
+  EpochReadView view(file, pin.epoch());
+  Page scratch;
+  auto pinned = view.View(0, &scratch);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  const Page* bytes = *pinned;
+  ASSERT_NE(bytes, &scratch);
+  const Page expected = FilledPage('B');
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (std::memcmp(bytes->data(), expected.data(), kPageSize) != 0) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(file->Write(0, FilledPage(static_cast<uint8_t>('C' + i % 20)))
+                    .ok());
+    epochs.Publish(MakeState(2 + i));
+    if (i % 10 == 0) epochs.ReclaimNow();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(epochs.total_reclaimed(), 0u);
+  EXPECT_EQ(std::memcmp(bytes->data(), expected.data(), kPageSize), 0);
+  // A second view at the pin lends the same node.
+  auto again = view.View(0, &scratch);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, bytes);
+  EXPECT_EQ(view.stats().reads(), 2u);
+  pin.Release();
   epochs.Shutdown();
 }
 
