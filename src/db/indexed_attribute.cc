@@ -433,13 +433,34 @@ StatusOr<AccessPathChoice> IndexedAttribute::Plan(
     return AccessPathChoice{forced, "plain", 0.0, 0};
   }
   const Model model = ModelFor(num_objects);
-  // Registry feedback (opt-in) folds the observed false-drop and buffer-hit
-  // rates into the comparison, trading reproducible page counts for
-  // workload adaptivity; an empty feedback is the pure model.
-  const AdvisorFeedback observed =
-      settings_.advisor_feedback && feedback != nullptr
-          ? AdvisorFeedback::FromRegistry(*feedback)
-          : AdvisorFeedback{};
+  if (settings_.advisor_feedback && feedback != nullptr) {
+    // Registry feedback (opt-in) folds the observed false-drop and
+    // buffer-hit rates into the comparison, trading reproducible page
+    // counts for workload adaptivity.  It changes with every query, so
+    // these plans bypass the memo.
+    return Advise(kind, dq, model, AdvisorFeedback::FromRegistry(*feedback));
+  }
+  const uint64_t key = static_cast<uint64_t>(CandidateKind(kind)) << 56 |
+                       static_cast<uint64_t>(dq);
+  std::lock_guard<std::mutex> lock(memo_.mu);
+  if (memo_.n != model.db.n || memo_.v != model.db.v ||
+      memo_.dt != model.dt) {
+    memo_.plans.clear();
+    memo_.n = model.db.n;
+    memo_.v = model.db.v;
+    memo_.dt = model.dt;
+  } else if (auto hit = memo_.plans.find(key); hit != memo_.plans.end()) {
+    return hit->second;
+  }
+  SIGSET_ASSIGN_OR_RETURN(AccessPathChoice choice,
+                          Advise(kind, dq, model, AdvisorFeedback{}));
+  memo_.plans.emplace(key, choice);
+  return choice;
+}
+
+StatusOr<AccessPathChoice> IndexedAttribute::Advise(
+    QueryKind kind, int64_t dq, const Model& model,
+    const AdvisorFeedback& observed) const {
   SIGSET_ASSIGN_OR_RETURN(
       std::vector<AccessPathChoice> choices,
       AdviseAccessPaths(model.db, model.sig, model.nix, model.dt, dq,

@@ -17,7 +17,9 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
@@ -135,7 +137,10 @@ class IndexedAttribute {
   // The access path for (kind, dq): the forced facility's plain strategy,
   // or the advisor's cheapest maintained path (with the registry's
   // feedback folded in when AttributeSettings::advisor_feedback is
-  // set and `feedback` is given).
+  // set and `feedback` is given).  A kAuto plan without feedback depends
+  // only on (candidate kind, dq) and the model's (N, V, Dt), so it is
+  // memoised: the memo holds the plans of one (N, V, Dt) triple and a
+  // plan for another triple clears it.
   StatusOr<AccessPathChoice> Plan(QueryKind kind, int64_t dq,
                                   uint64_t num_objects, PlanMode mode,
                                   const MetricsRegistry* feedback) const;
@@ -176,6 +181,21 @@ class IndexedAttribute {
   std::array<SetAccessFacility*, 3> Facilities() const {
     return {ssf_.get(), bssf_.get(), nix_.get()};
   }
+  // The advisor's cheapest maintained path under `model`.
+  StatusOr<AccessPathChoice> Advise(QueryKind kind, int64_t dq,
+                                    const Model& model,
+                                    const AdvisorFeedback& observed) const;
+
+  // Plan's memo of kAuto choices for the (N, V, Dt) triple in `n`, `v` and
+  // `dt`, keyed on candidate kind << 56 | dq.  Readers plan concurrently
+  // (SynchronizedSetIndex), so a mutex guards it.
+  struct PlanMemo {
+    std::mutex mu;
+    int64_t n = 0;
+    int64_t v = 0;
+    int64_t dt = 0;
+    std::unordered_map<uint64_t, AccessPathChoice> plans;
+  };
 
   Database::AttributeOptions spec_;
   uint64_t capacity_;
@@ -184,6 +204,7 @@ class IndexedAttribute {
   FileOpener open_;  // null for pinned views
   Shape shape_;  // live: only `elements` is kept; pinned: as published
   HyperLogLog sketch_{12};
+  mutable PlanMemo memo_;
   // A pinned view's fixed-epoch adapters (empty for live attributes);
   // declared before the facilities reading them.
   std::array<std::unique_ptr<EpochReadView>, kNumFiles> views_;

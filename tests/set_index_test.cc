@@ -1,10 +1,12 @@
 #include "db/set_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "oracle.h"
+#include "query/advisor.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -213,6 +215,60 @@ TEST_F(SetIndexTest, InsertNormalizesInput) {
   auto obj = index_->Get(*oid);
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ(obj->set_value, (ElementSet{1, 3, 9}));
+}
+
+// kAuto plans are memoised per (candidate kind, Dq) for one (N, V, Dt)
+// triple.  Every plan must equal what the advisor picks from the index's
+// public statistics, on a first query (a miss), a repeat (a hit), and
+// after inserts move N, V and Dt (the memo starts over).
+TEST(SetIndexPlanMemoTest, AutoPlansMatchTheAdvisorAsStatisticsMove) {
+  SetIndex::Options options = SmallOptions();
+  options.domain_estimate = 0;  // V from the live sketch
+  StorageManager storage;
+  auto created = SetIndex::Create(&storage, "memo", options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  SetIndex& index = **created;
+  Rng rng(22);
+  auto insert = [&](int count, uint64_t domain, uint64_t dt) {
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(index.Insert(rng.SampleWithoutReplacement(domain, dt)).ok());
+    }
+  };
+  auto expect_plans_match = [&] {
+    const int64_t dt =
+        std::max<int64_t>(1, std::llround(index.mean_cardinality()));
+    DatabaseParams db;
+    db.n = static_cast<int64_t>(index.num_objects());
+    db.v = std::max<int64_t>(index.DomainEstimate(), dt + 1);
+    const SignatureParams sig{options.sig.f, options.sig.m};
+    NixParams nix;
+    nix.fanout = options.nix_fanout;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (QueryKind kind :
+           {QueryKind::kSuperset, QueryKind::kSubset,
+            QueryKind::kProperSuperset, QueryKind::kProperSubset,
+            QueryKind::kEquals, QueryKind::kOverlaps}) {
+        for (int64_t dq = 1; dq <= 400; ++dq) {
+          auto best = BestAccessPath(db, sig, nix, dt, dq, kind,
+                                     /*allow_smart=*/true);
+          ASSERT_TRUE(best.ok()) << best.status().ToString();
+          auto got = index.Query(
+              kind, rng.SampleWithoutReplacement(450, static_cast<uint64_t>(dq)));
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got->plan, best->facility + " " + best->strategy)
+              << QueryKindName(kind) << " Dq " << dq << " pass " << pass;
+        }
+      }
+    }
+  };
+  insert(400, 450, 8);
+  expect_plans_match();
+  const double dt_before = index.mean_cardinality();
+  const int64_t v_before = index.DomainEstimate();
+  insert(300, 900, 20);
+  ASSERT_NE(index.mean_cardinality(), dt_before);
+  ASSERT_NE(index.DomainEstimate(), v_before);
+  expect_plans_match();
 }
 
 }  // namespace
