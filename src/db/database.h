@@ -17,6 +17,8 @@
 #ifndef SIGSET_DB_DATABASE_H_
 #define SIGSET_DB_DATABASE_H_
 
+#include <array>
+#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -407,6 +409,27 @@ class Database {
   std::vector<ElementDictionary> dictionaries_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
+  // Select's metrics, resolved to pointers on first use as obs/metrics.h
+  // asks.  Each slot registers its name where Select first needs it, so a
+  // name registers no earlier than a lookup per query would, and concurrent
+  // readers racing to fill a slot store the registry's one pointer.
+  struct FacilityMetrics {  // query.<facility>.*
+    std::atomic<Counter*> count{nullptr};
+    std::atomic<Counter*> candidates{nullptr};
+    std::atomic<Counter*> false_drops{nullptr};
+    std::atomic<Gauge*> predicted_pages{nullptr};
+  };
+  struct SelectMetrics {
+    std::atomic<Counter*> count{nullptr};            // query.count
+    std::atomic<Histogram*> pages{nullptr};          // query.pages
+    std::atomic<Histogram*> latency_us{nullptr};     // query.latency_us
+    std::array<FacilityMetrics, 3> facility;         // ssf, bssf, nix
+    // query.<kind>.latency_us, indexed by QueryKind (kOverlaps is last).
+    std::array<std::atomic<Histogram*>,
+               static_cast<size_t>(QueryKind::kOverlaps) + 1>
+        kind_latency_us{};
+  };
+  SelectMetrics select_metrics_;
   // Telemetry (all null/empty unless enable_telemetry).
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<DriftWatchdog> watchdog_;
