@@ -31,15 +31,15 @@ void IntersectInto(std::vector<Oid>* acc, const std::vector<Oid>& postings) {
   *acc = std::move(out);
 }
 
-Status CheckNoReservedElement(const ElementSet& set_value) {
+}  // namespace
+
+Status NestedIndex::CheckNoReservedElement(const ElementSet& set_value) {
   if (!set_value.empty() && set_value.back() == kEmptySetKey) {
     return Status::InvalidArgument(
         "element value UINT64_MAX is reserved for the empty-set roster");
   }
   return Status::OK();
 }
-
-}  // namespace
 
 StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::Create(
     PageFile* file, uint32_t max_fanout) {

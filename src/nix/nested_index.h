@@ -83,6 +83,11 @@ class NestedIndex : public SetAccessFacility {
   // UC_I = UC_D = rc·Dt.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
+  // The kInvalidArgument ApplyBatch returns for a normalized set holding
+  // the reserved element kEmptySetKey, or OK; reads no page, so a caller
+  // can check a batch whole before its first write.
+  static Status CheckNoReservedElement(const ElementSet& set_value);
+
   using SetAccessFacility::Candidates;
   // Serial only: the context is ignored.
   StatusOr<CandidateResult> Candidates(

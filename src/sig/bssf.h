@@ -99,6 +99,12 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   //     can leave a listed slot with bits set.
   Status ApplyBatch(const std::vector<BatchOp>& ops) override;
 
+  // The kOutOfRange ApplyBatch returns for a batch of `removes` removes
+  // and `inserts` inserts that needs more fresh slots than the capacity
+  // has left, or OK; reads no page, so a caller can check a batch whole
+  // before its first write.
+  Status CheckCapacity(size_t removes, size_t inserts) const;
+
   // Re-slots the live columns densely into the target files (slot order
   // preserved) and returns the live count.  Writes every slice page of the
   // target store — CreateFromExisting demands the exact page count — so a
@@ -201,6 +207,10 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   BitSlicedSignatureFile(const SignatureConfig& config, uint64_t capacity,
                          PageFile* slice_file, PageFile* oid_file,
                          BssfInsertMode insert_mode);
+
+  // Slots off the high-water mark that `inserts` inserts take once this
+  // batch's `removes` freed slots and the free list are reused.
+  uint64_t FreshSlots(size_t removes, size_t inserts) const;
 
   // Reads slice `slice` and combines it into `acc` (num bits =
   // num_signatures): AND when `and_combine`, OR otherwise.  Page reads are

@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -896,12 +898,13 @@ std::map<uint64_t, ElementSet> LoadShared(Database* db, Rng* rng) {
   return live;
 }
 
-// `db` stores exactly `live` (OID value -> the set all three attributes
-// hold), and every facility answers like brute force.
-void ExpectEveryFacilityMatches(Database* db,
-                                const std::map<uint64_t, ElementSet>& live) {
+// `db` stores exactly `live` (OID value -> the set every attribute holds),
+// and a query on each of `attrs` answers like brute force.
+void ExpectEveryFacilityMatches(
+    Database* db, const std::map<uint64_t, ElementSet>& live,
+    const std::vector<std::string>& attrs = {"ssf", "bssf", "nix"}) {
   EXPECT_EQ(db->num_objects(), live.size());
-  for (const char* attr : {"ssf", "bssf", "nix"}) {
+  for (const std::string& attr : attrs) {
     for (const auto& [kind, query] :
          {std::pair{QueryKind::kSuperset, ElementSet{kShared}},
           std::pair{QueryKind::kOverlaps, ElementSet{1, 2, 3, 4, 5}}}) {
@@ -978,6 +981,93 @@ TEST(DatabaseWritePathTest, OversizedRecordIsRejectedBeforeAnyWrite) {
     ASSERT_TRUE(oids.ok()) << oids.status().ToString();
     live[oids->front().value()] = fits;
     ExpectEveryFacilityMatches(db->get(), live);
+  }
+}
+
+// A facility's limits are part of the same whole-batch check.  `refused`
+// runs against a database of `options` (one attribute, "tags") holding
+// `preload` objects and must fail with `code` before anything is logged,
+// stored or indexed; the database then takes a valid write, and with the
+// WAL a reopen replays that write alone.
+void ExpectRefusedBeforeAnyWrite(
+    const Database::Options& options, int preload,
+    const std::function<Status(Database*, Rng*)>& refused, StatusCode code) {
+  StorageManager storage;
+  auto db = Database::Create(&storage, "Limited", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Rng rng(2201);
+  std::map<uint64_t, ElementSet> live;
+  for (int i = 0; i < preload; ++i) {
+    const ElementSet set = SharedSet(&rng, 5);
+    auto oid = (*db)->Insert({set});
+    ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+    live[oid->value()] = set;
+  }
+  WriteAheadLog* wal = (*db)->wal();
+  if (wal != nullptr) {
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  const uint64_t lsn = wal != nullptr ? wal->last_lsn() : 0;
+
+  const Status status = refused(db->get(), &rng);
+  EXPECT_EQ(status.code(), code) << status.ToString();
+  ExpectEveryFacilityMatches(db->get(), live, {"tags"});
+  if (wal != nullptr) {
+    EXPECT_EQ(wal->last_lsn(), lsn);
+  }
+
+  const ElementSet fresh = SharedSet(&rng, 5);
+  auto oid = (*db)->Insert({fresh});
+  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  live[oid->value()] = fresh;
+  ExpectEveryFacilityMatches(db->get(), live, {"tags"});
+  if (wal == nullptr) return;
+  db->reset();
+  auto reopened = Database::Open(&storage, "Limited", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->metrics()->CounterValue("wal.replayed_records"), 1u);
+  ExpectEveryFacilityMatches(reopened->get(), live, {"tags"});
+}
+
+Database::Options TagsOptions(bool nix, bool wal) {
+  Database::AttributeOptions tags;
+  tags.name = "tags";
+  tags.maintain_nix = nix;
+  tags.sig = {128, 2};
+  tags.domain_estimate = 100;
+  Database::Options options;
+  options.attributes = {tags};
+  options.capacity = 10;
+  options.enable_wal = wal;
+  return options;
+}
+
+// Four inserts need four fresh slots where a capacity of 10 holding 8
+// objects has two left.
+TEST(DatabaseWritePathTest, BssfCapacityIsCheckedBeforeAnyWrite) {
+  for (bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    ExpectRefusedBeforeAnyWrite(
+        TagsOptions(/*nix=*/false, wal), 8,
+        [](Database* db, Rng* rng) {
+          MultiWriteBatch batch;
+          for (int i = 0; i < 4; ++i) batch.Insert({SharedSet(rng, 5)});
+          return db->ApplyBatch(batch).status();
+        },
+        StatusCode::kOutOfRange);
+  }
+}
+
+// NIX keeps UINT64_MAX as the key of its empty-set roster.
+TEST(DatabaseWritePathTest, NixReservedElementIsCheckedBeforeAnyWrite) {
+  for (bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    ExpectRefusedBeforeAnyWrite(
+        TagsOptions(/*nix=*/true, wal), 5,
+        [](Database* db, Rng*) {
+          return db->Insert({ElementSet{1, UINT64_MAX}}).status();
+        },
+        StatusCode::kInvalidArgument);
   }
 }
 
