@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the in-memory hot paths: element
 // signature hashing, set-signature construction, bit-packed extraction,
-// slice combination, B+-tree look-ups, the planner's fixed costs (the live
-// V estimate and the access-path advisor), and singleton facility writes.
-// These are CPU-cost complements to the page-access experiments (the
-// paper's model is I/O-only).
+// slice combination, B+-tree look-ups, object fetches, whole kAuto
+// selections, the planner's fixed costs (the live V estimate and the
+// access-path advisor), and singleton facility writes.  These are CPU-cost
+// complements to the page-access experiments (the paper's model is
+// I/O-only).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "db/set_index.h"
 #include "nix/btree.h"
 #include "query/advisor.h"
 #include "sig/bitpack.h"
@@ -299,6 +301,79 @@ void BM_SsfDeleteScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsfDeleteScan)->Iterations(16000);
+
+// --- reads over the Table-2 database ---------------------------------------
+//
+// N = 32,000 objects of Dt = 10 elements from V = 13,000, in memory.
+
+// One object fetch, the unit of candidate resolution: the object file's
+// page read (a view of the in-memory page) and the record decode.
+void BM_ObjectGetInto(benchmark::State& state) {
+  static StorageManager storage;
+  static const std::vector<Oid> oids = [] {
+    MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
+    std::vector<Oid> stored;
+    for (const ElementSet& set : Objects().sets) {
+      stored.push_back(ValueOrDie(store.Insert({set}), "insert"));
+    }
+    return stored;
+  }();
+  const MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
+  MultiSetObject object;
+  Rng rng(6);
+  for (auto _ : state) {
+    CheckOk(store.GetInto(oids[rng.NextBelow(oids.size())], &object),
+            "get");
+    benchmark::DoNotOptimize(object);
+  }
+}
+BENCHMARK(BM_ObjectGetInto);
+
+// One kAuto selection through SetIndex (BSSF + NIX, F = 250, m = 2): plan,
+// candidate selection and resolution.  Each iteration runs the next of 256
+// seeded queries; a query of Dq <= Dt (>= Dt) is drawn to hit a stored
+// object for ⊇ (⊆), else uniformly.  Arguments: QueryKind, Dq.
+void BM_SetIndexSelect(benchmark::State& state) {
+  static StorageManager storage;
+  static const std::unique_ptr<SetIndex> index = [] {
+    SetIndex::Options options;
+    options.capacity = 32064;
+    auto created = ValueOrDie(SetIndex::Create(&storage, "select", options),
+                              "create");
+    WriteBatch batch;
+    for (const ElementSet& set : Objects().sets) batch.Insert(set);
+    CheckOk(created->ApplyBatch(batch).status(), "load");
+    return created;
+  }();
+  const QueryKind kind = static_cast<QueryKind>(state.range(0));
+  const int64_t dq = state.range(1);
+  const std::vector<ElementSet>& sets = Objects().sets;
+  Rng rng(7);
+  std::vector<ElementSet> queries(256);
+  for (ElementSet& query : queries) {
+    const ElementSet& target = sets[rng.NextBelow(sets.size())];
+    const int64_t dt = static_cast<int64_t>(target.size());
+    const QueryKind ck = CandidateKind(kind);
+    if (ck == QueryKind::kSuperset && dq <= dt) {
+      query = MakeHittingSupersetQuery(target, dq, rng);
+    } else if (ck == QueryKind::kSubset && dq >= dt) {
+      query = MakeHittingSubsetQuery(target, 13000, dq, rng);
+    } else {
+      query = rng.SampleWithoutReplacement(13000, static_cast<uint64_t>(dq));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto result = index->Query(kind, queries[next++ % queries.size()]);
+    CheckOk(result.status(), "select");
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_SetIndexSelect)
+    ->Args({static_cast<int64_t>(QueryKind::kSuperset), 2})
+    ->Args({static_cast<int64_t>(QueryKind::kSubset), 40})
+    ->Args({static_cast<int64_t>(QueryKind::kEquals), 10})
+    ->Args({static_cast<int64_t>(QueryKind::kOverlaps), 3});
 
 }  // namespace
 }  // namespace sigsetdb

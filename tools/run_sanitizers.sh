@@ -129,11 +129,14 @@ case "${1:-all}" in
     # superseded nodes.  TSan vets the publish/pin/reclaim interleavings
     # (the concurrent differential fuzz drives 10 reader threads through
     # them); ASan vets the version-chain allocation and reclamation.
+    # Readers use page views, which lend in-memory pages and version nodes
+    # in place, and 4-thread resolution reads shared in-memory pages
+    # through them: page_file and parallel_executor cover both.
     shift
-    run_one thread -R \
-      'epoch_test|query_differential_fuzz|synchronized_set_index' "$@"
-    run_one address -R \
-      'epoch_test|query_differential_fuzz|synchronized_set_index' "$@"
+    suites='epoch_test|query_differential_fuzz|synchronized_set_index'
+    suites+='|page_file|parallel_executor'
+    run_one thread -R "${suites}" "$@"
+    run_one address -R "${suites}" "$@"
     ;;
   resolve)
     # The candidate-resolution path end to end: intersect_u64 does
