@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the in-memory hot paths: element
 // signature hashing, set-signature construction, bit-packed extraction,
-// slice combination, B+-tree look-ups, object fetches, whole kAuto
-// selections, the planner's fixed costs (the live V estimate and the
+// slice combination, B+-tree look-ups, object fetches, one selection's
+// lookups and fetches from a cold cache (one at a time and grouped), whole
+// kAuto selections, the planner's fixed costs (the live V estimate and the
 // access-path advisor), and singleton facility writes.  These are CPU-cost
 // complements to the page-access experiments (the paper's model is
 // I/O-only).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
 
 #include "bench_util.h"
 #include "db/set_index.h"
@@ -306,18 +310,22 @@ BENCHMARK(BM_SsfDeleteScan)->Iterations(16000);
 //
 // N = 32,000 objects of Dt = 10 elements from V = 13,000, in memory.
 
+// Stores the Table-2 objects in a one-attribute object file "objects" in
+// `storage`; returns their OIDs.
+std::vector<Oid> StoreObjects(StorageManager* storage) {
+  MultiObjectStore store(storage->CreateOrOpen("objects"), 1);
+  std::vector<Oid> stored;
+  for (const ElementSet& set : Objects().sets) {
+    stored.push_back(ValueOrDie(store.Insert({set}), "insert"));
+  }
+  return stored;
+}
+
 // One object fetch, the unit of candidate resolution: the object file's
 // page read (a view of the in-memory page) and the record decode.
 void BM_ObjectGetInto(benchmark::State& state) {
   static StorageManager storage;
-  static const std::vector<Oid> oids = [] {
-    MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
-    std::vector<Oid> stored;
-    for (const ElementSet& set : Objects().sets) {
-      stored.push_back(ValueOrDie(store.Insert({set}), "insert"));
-    }
-    return stored;
-  }();
+  static const std::vector<Oid> oids = StoreObjects(&storage);
   const MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
   MultiSetObject object;
   Rng rng(6);
@@ -328,6 +336,104 @@ void BM_ObjectGetInto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObjectGetInto);
+
+// --- one selection's page reads from a cold cache ---------------------------
+//
+// Each iteration first streams a 32 MiB buffer, outside the timed region,
+// so the pages a selection reads start out of the core's caches, as they
+// mostly do inside a mixed query stream; a warm loop over one query would
+// hide the misses that grouping overlaps.  Argument 0 runs the pages one at
+// a time, argument 1 the grouped call.  Iteration counts are fixed, because
+// the streaming, not the timed region, sets each iteration's cost.
+
+// Writes one byte per cache line of a 32 MiB buffer.
+void StreamColdBuffer() {
+  static std::vector<uint8_t> buffer(size_t{32} << 20);
+  for (size_t i = 0; i < buffer.size(); i += 64) ++buffer[i];
+  benchmark::DoNotOptimize(buffer.data());
+  benchmark::ClobberMemory();
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// An = query's NIX lookups: the 10 elements of a stored object (Dq = Dt =
+// 10), in a NIX bulk-built over the Table-2 database.  The one-at-a-time
+// arm calls LookupMany per key, so only the grouping differs.
+void BM_NixLookupCold(benchmark::State& state) {
+  static StorageManager storage;
+  static const std::unique_ptr<NestedIndex> nix = [] {
+    auto index =
+        ValueOrDie(NestedIndex::Create(storage.CreateOrOpen("nix")), "create");
+    CheckOk(index->BulkBuild(Objects().oids, Objects().sets), "bulk build");
+    return index;
+  }();
+  const BTree& tree = nix->tree();
+  const std::vector<ElementSet>& sets = Objects().sets;
+  const bool grouped = state.range(0) != 0;
+  Rng rng(8);
+  std::vector<std::vector<Oid>> lists;
+  std::vector<std::vector<Oid>> one;
+  for (auto _ : state) {
+    const ElementSet& keys = sets[rng.NextBelow(sets.size())];
+    StreamColdBuffer();
+    const auto start = std::chrono::steady_clock::now();
+    if (grouped) {
+      CheckOk(tree.LookupMany(keys, &lists), "lookup");
+    } else {
+      lists.resize(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        CheckOk(tree.LookupMany({&keys[i], 1}, &one), "lookup");
+        lists[i] = std::move(one.front());
+      }
+    }
+    state.SetIterationTime(SecondsSince(start));
+    benchmark::DoNotOptimize(lists);
+  }
+}
+BENCHMARK(BM_NixLookupCold)->Arg(0)->Arg(1)->UseManualTime()->Iterations(400);
+
+// An overlap query's resolution: 73 random candidates (ascending, as
+// facilities deliver them) fetched from the Table-2 object file, by
+// GetInto each or by one GetMany.
+void BM_ObjectGetManyCold(benchmark::State& state) {
+  static StorageManager storage;
+  static const std::vector<Oid> stored = StoreObjects(&storage);
+  const MultiObjectStore store(storage.CreateOrOpen("objects"), 1);
+  const bool grouped = state.range(0) != 0;
+  Rng rng(9);
+  std::vector<Oid> oids(73);
+  MultiSetObject object;
+  for (auto _ : state) {
+    for (Oid& oid : oids) oid = stored[rng.NextBelow(stored.size())];
+    std::sort(oids.begin(), oids.end());
+    StreamColdBuffer();
+    const auto start = std::chrono::steady_clock::now();
+    if (grouped) {
+      CheckOk(store.GetMany(oids, nullptr, &object,
+                            [](size_t, const Status& got,
+                               const MultiSetObject& fetched) {
+                              benchmark::DoNotOptimize(fetched);
+                              return got;
+                            }),
+              "get");
+    } else {
+      for (Oid oid : oids) {
+        CheckOk(store.GetInto(oid, &object), "get");
+        benchmark::DoNotOptimize(object);
+      }
+    }
+    state.SetIterationTime(SecondsSince(start));
+  }
+}
+BENCHMARK(BM_ObjectGetManyCold)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Iterations(400);
 
 // One kAuto selection through SetIndex (BSSF + NIX, F = 250, m = 2): plan,
 // candidate selection and resolution.  Each iteration runs the next of 256

@@ -770,8 +770,11 @@ StatusOr<Database::Selection> Database::Select(
   QueryTrace telemetry_trace;
   if (recorder_ != nullptr && trace == nullptr) trace = &telemetry_trace;
   const SetPredicate& driver = sel.preds[sel.driver];
-  const uint64_t fingerprint = FlightRecorder::Fingerprint(
-      static_cast<int>(driver.kind), driver.query);
+  // Only flight events carry the fingerprint, so it is hashed only for them.
+  auto fingerprint = [&] {
+    return FlightRecorder::Fingerprint(static_cast<int>(driver.kind),
+                                       driver.query);
+  };
   TraceTimer timer;  // feeds the latency histogram (metrics, not tracing)
   const IoStats before =
       recorder_ != nullptr ? storage_->TotalStats() : IoStats{};
@@ -782,7 +785,7 @@ StatusOr<Database::Selection> Database::Select(
     // postmortem) before propagating it.
     if (recorder_ != nullptr) {
       RecordOpTelemetry(FlightOp::kQuery, "query.latency_us", timer, before,
-                        ran, fingerprint);
+                        ran, fingerprint());
     }
     return ran;
   }
@@ -823,7 +826,7 @@ StatusOr<Database::Selection> Database::Select(
           "query." + std::string(QueryKindName(driver.kind)) + ".latency_us");
     })->Record(Micros(timer));
     RecordEvent(FlightOp::kQuery, Status::OK(), sel.io, out.driver,
-                fingerprint);
+                fingerprint());
   }
   if (trace != nullptr && watchdog_ != nullptr) watchdog_->ObserveTrace(*trace);
   return sel;

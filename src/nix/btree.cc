@@ -738,40 +738,76 @@ Status BTree::ValidateStructure() const {
 
 // ---- operations ----
 
+Status BTree::LookupMany(std::span<const uint64_t> keys,
+                         std::vector<std::vector<Oid>>* out) const {
+  out->clear();
+  out->resize(keys.size());
+  return LookupInto(keys, *out);
+}
+
 StatusOr<std::vector<Oid>> BTree::Lookup(uint64_t key) const {
-  // Lookup runs on concurrent readers, so its scratch page is per thread;
+  std::vector<Oid> postings;
+  SIGSET_RETURN_IF_ERROR(LookupInto({&key, 1}, {&postings, 1}));
+  return postings;
+}
+
+Status BTree::LookupInto(std::span<const uint64_t> keys,
+                         std::span<std::vector<Oid>> out) const {
+  // Lookups run on concurrent readers, so the scratch page is per thread;
   // reusing it spares zero-filling a fresh 4 KiB Page on every call, and
   // an in-memory file's view needs no scratch at all.
   thread_local Page scratch;
-  const Page* view = nullptr;
-  PageId current = root_;
-  while (true) {
-    SIGSET_ASSIGN_OR_RETURN(view, file_->View(current, &scratch));
-    if (NodeType(*view) == kLeafType) break;
-    current = ChildAt(*view, ChildIndex(*view, key));
+  // The held leaves are those of keys [searched, searched + held).
+  const Page* leaves[kViewGroupSize];
+  size_t searched = 0;
+  size_t held = 0;
+  for (const uint64_t key : keys) {
+    const Page* view = nullptr;
+    PageId current = root_;
+    while (true) {
+      SIGSET_ASSIGN_OR_RETURN(view, file_->View(current, &scratch));
+      if (NodeType(*view) == kLeafType) break;
+      current = ChildAt(*view, ChildIndex(*view, key));
+    }
+    // The header and the start of the offset directory: FindSlot's first
+    // reads.
+    __builtin_prefetch(view->data());
+    leaves[held++] = view;
+    if (held < kViewGroupSize && view != &scratch &&
+        searched + held < keys.size()) {
+      continue;
+    }
+    for (size_t i = 0; i < held; ++i, ++searched) {
+      SIGSET_RETURN_IF_ERROR(
+          CopyPostings(*leaves[i], keys[searched], &out[searched]));
+    }
+    held = 0;
   }
-  const Page& page = *view;
-  const size_t slot = FindSlot(page, key);
-  if (slot == NumEntries(page)) return std::vector<Oid>{};
-  const size_t off = RecordOffset(page, slot);
-  if (page.ReadAt<uint64_t>(off) != key) return std::vector<Oid>{};
+  return Status::OK();
+}
+
+Status BTree::CopyPostings(const Page& leaf, uint64_t key,
+                           std::vector<Oid>* out) const {
+  const size_t slot = FindSlot(leaf, key);
+  if (slot == NumEntries(leaf)) return Status::OK();
+  const size_t off = RecordOffset(leaf, slot);
+  if (leaf.ReadAt<uint64_t>(off) != key) return Status::OK();
   // Inline postings are kept sorted at write time (LeafApply merges adds in
   // order; BulkLoad's callers pass sorted lists), so they are copied out
   // as-is.  Overflow chains are unordered on disk by design — one sort
   // here, when the chain is materialized, is what lets every reader above
   // assume ascending postings without re-sorting per query.
-  const uint16_t count = page.ReadAt<uint16_t>(off + 8);
+  const uint16_t count = leaf.ReadAt<uint16_t>(off + 8);
   if (count != kOverflowMarker) {
-    std::vector<Oid> out(count);
-    if (count != 0) std::memcpy(out.data(), page.data() + off + 10, count * 8);
-    return out;
+    out->resize(count);
+    if (count != 0) std::memcpy(out->data(), leaf.data() + off + 10, count * 8);
+    return Status::OK();
   }
-  std::vector<Oid> out;
-  SIGSET_RETURN_IF_ERROR(ReadOverflowChain(page.ReadAt<uint32_t>(off + 14),
-                                           page.ReadAt<uint32_t>(off + 10),
-                                           &out));
-  std::sort(out.begin(), out.end());
-  return out;
+  SIGSET_RETURN_IF_ERROR(ReadOverflowChain(leaf.ReadAt<uint32_t>(off + 14),
+                                           leaf.ReadAt<uint32_t>(off + 10),
+                                           out));
+  std::sort(out->begin(), out->end());
+  return Status::OK();
 }
 
 Status BTree::StoreLeaf(PageId page_id, Page* page,

@@ -14,7 +14,11 @@
 //
 // Reads and writes work on the page bytes.  A descent binary-searches each
 // internal node's fixed-stride keys and the leaf's offset directory;
-// Lookup copies out only the matched record's OIDs.  Apply merges a key's
+// a lookup copies out only the matched record's OIDs.  LookupMany, the one
+// read path, descends for its keys in order but holds up to kViewGroupSize
+// leaf views, prefetching each one's header and directory line, and
+// searches them only once the group is viewed, so an in-memory file's leaf
+// misses overlap instead of following one another.  Apply merges a key's
 // removes and adds once and splices the changed inline record into its
 // leaf: the heap below it moves, the later directory offsets shift, and
 // every vacated byte is zeroed, so the page stays exactly what a full repack
@@ -43,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -129,10 +134,25 @@ class BTree {
   Status Insert(uint64_t key, Oid oid);
   Status Remove(uint64_t key, Oid oid);
 
-  // Returns the posting list of `key` in ascending OID order (empty vector
-  // when the key is absent; the traversal still costs height()+1 page
-  // reads).  Inline records are stored sorted so this is free; an overflow
-  // chain — unordered on disk — is sorted once here, not per reader.
+  // Sets `(*out)[i]` to the posting list of `keys[i]` in ascending OID
+  // order (empty when the key is absent; the traversal still costs
+  // height()+1 page reads).  Inline records are stored sorted so this is
+  // free; an overflow chain — unordered on disk — is sorted once here, not
+  // per reader.  Keys may repeat and come in any order.
+  //
+  // The descents run in the order of `keys` and make exactly the View calls
+  // one-key lookups would, each internal node consumed as soon as viewed.
+  // Each leaf view is held, its first line prefetched, until
+  // kViewGroupSize leaves are held, the keys run out, or a View returns
+  // the scratch page (a copying file: that leaf is searched at once); then
+  // the held leaves are searched in order.  An overflow chain is read when
+  // its record is searched, after its group's descents: the same pages,
+  // charged the same.  If a chain read fails, up to kViewGroupSize - 1
+  // later keys' descents have already been charged.
+  Status LookupMany(std::span<const uint64_t> keys,
+                    std::vector<std::vector<Oid>>* out) const;
+
+  // LookupMany of one key.
   StatusOr<std::vector<Oid>> Lookup(uint64_t key) const;
 
   // Bulk-builds a packed tree from entries sorted by strictly increasing
@@ -194,6 +214,15 @@ class BTree {
   // first use and reused by every later descent.
   Page* LevelBuffer(uint32_t depth);
 
+  // LookupMany's body: sets each empty `out[i]` to `keys[i]`'s postings.
+  // Lookup passes one local vector, so it allocates no list of lists.
+  Status LookupInto(std::span<const uint64_t> keys,
+                    std::span<std::vector<Oid>> out) const;
+  // Sets `*out` to `key`'s postings in leaf `leaf` (LookupInto's search
+  // of a held leaf), reading its overflow chain if it has one.
+  Status CopyPostings(const Page& leaf, uint64_t key,
+                      std::vector<Oid>* out) const;
+
   // Overflow-chain helpers (declared here because they touch file_ and the
   // overflow page counter); see btree.cc for the record/page formats.
   Status ReadOverflowChain(PageId first, uint32_t expected,
@@ -229,7 +258,8 @@ class BTree {
   uint32_t height_ = 0;
   // Apply's scratch, owned by the tree so a splicing descent allocates
   // nothing: one page buffer per level and the merged posting list of the
-  // changed key.  Lookup, which runs on concurrent readers, uses neither.
+  // changed key.  LookupMany, which runs on concurrent readers, uses
+  // neither.
   std::vector<std::unique_ptr<Page>> levels_;
   std::vector<Oid> merged_;
 };

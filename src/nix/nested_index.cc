@@ -147,17 +147,6 @@ Status NestedIndex::ApplyBatch(const std::vector<BatchOp>& ops) {
   return Status::OK();
 }
 
-StatusOr<std::vector<Oid>> NestedIndex::LookupPostings(
-    uint64_t element) const {
-  SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> postings, tree_->Lookup(element));
-  if (element == kEmptySetKey) {
-    // A query naming the reserved value must not see the roster as if it
-    // were a posting list; the descent above keeps the cost uniform.
-    postings.clear();
-  }
-  return postings;
-}
-
 StatusOr<CandidateResult> NestedIndex::CandidatesSmartSuperset(
     const ElementSet& query, size_t use_elements) {
   size_t n = std::min(use_elements, query.size());
@@ -168,13 +157,13 @@ StatusOr<CandidateResult> NestedIndex::CandidatesSmartSuperset(
   // I/O pattern (and the paper's rc·Dq charge) is exactly what it always
   // was.  No early exit on an empty intersection for the same reason.
   std::vector<std::vector<Oid>> lists;
-  lists.reserve(n);
+  SIGSET_RETURN_IF_ERROR(tree_->LookupMany({query.data(), n}, &lists));
   for (size_t i = 0; i < n; ++i) {
-    SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> postings,
-                            LookupPostings(query[i]));
-    assert(std::is_sorted(postings.begin(), postings.end()) &&
-           "BTree::Lookup must return sorted postings");
-    lists.push_back(std::move(postings));
+    // A query naming the reserved value must not see the roster as if it
+    // were a posting list; its descent above keeps the cost uniform.
+    if (query[i] == kEmptySetKey) lists[i].clear();
+    assert(std::is_sorted(lists[i].begin(), lists[i].end()) &&
+           "BTree::LookupMany must return sorted postings");
   }
   // Phase 2: intersect smallest-list-first — every kernel pass then runs
   // with the shortest possible accumulator, which is where the galloping /
@@ -216,15 +205,14 @@ StatusOr<CandidateResult> NestedIndex::Candidates(
       // output, so the transient footprint is the union size — not the sum
       // of posting lengths the old concat-then-sort-unique path peaked at.
       std::vector<std::vector<Oid>> lists;
-      lists.reserve(query.size());
+      SIGSET_RETURN_IF_ERROR(tree_->LookupMany(query, &lists));
       size_t longest = 0;
-      for (uint64_t element : query) {
-        SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> postings,
-                                LookupPostings(element));
-        assert(std::is_sorted(postings.begin(), postings.end()) &&
-               "BTree::Lookup must return sorted postings");
-        longest = std::max(longest, postings.size());
-        if (!postings.empty()) lists.push_back(std::move(postings));
+      for (size_t i = 0; i < query.size(); ++i) {
+        // The reserved value's descent is charged, its roster discarded.
+        if (query[i] == kEmptySetKey) lists[i].clear();
+        assert(std::is_sorted(lists[i].begin(), lists[i].end()) &&
+               "BTree::LookupMany must return sorted postings");
+        longest = std::max(longest, lists[i].size());
       }
       // Min-heap of (head value, list index); pop-advance with dedup
       // against the last emitted OID yields the sorted-unique union.
@@ -234,7 +222,7 @@ StatusOr<CandidateResult> NestedIndex::Candidates(
           heap;
       std::vector<size_t> cursor(lists.size(), 0);
       for (size_t l = 0; l < lists.size(); ++l) {
-        heap.emplace(lists[l][0], l);
+        if (!lists[l].empty()) heap.emplace(lists[l][0], l);
       }
       CandidateResult result;
       result.oids.reserve(longest);

@@ -127,11 +127,6 @@ class NestedIndex : public SetAccessFacility {
   static StatusOr<std::unique_ptr<NestedIndex>> Reopen(
       PageFile* file, StatusOr<std::unique_ptr<BTree>> tree);
 
-  // Tree lookup that treats the reserved roster key as an ordinary absent
-  // element: the descent still happens (and is charged), the postings are
-  // discarded.  Everything query-shaped goes through here.
-  StatusOr<std::vector<Oid>> LookupPostings(uint64_t element) const;
-
   // Roster mirror maintenance (the tree-side sentinel entry is written by
   // the caller); keeps empty_oids_ sorted.
   void RosterAdd(Oid oid);

@@ -328,15 +328,25 @@ StatusOr<MultiSetObject> MultiObjectStore::Get(Oid oid, IoStats* io) const {
 
 Status MultiObjectStore::GetInto(Oid oid, MultiSetObject* out,
                                  IoStats* io) const {
-  if (!oid.valid()) return Status::InvalidArgument("invalid oid");
-  // Resolution fetches every candidate through here, on concurrent
-  // workers: a per-thread scratch page is never zero-filled per call.
+  Status got;
+  SIGSET_RETURN_IF_ERROR(GetMany(
+      {&oid, 1}, io, out, [&](size_t, const Status& status,
+                              const MultiSetObject&) {
+        got = status;
+        return Status::OK();
+      }));
+  return got;
+}
+
+Page& MultiObjectStore::ReadScratch() {
+  // Resolution fetches on concurrent workers: a per-thread scratch page is
+  // never zero-filled per call, and an in-memory file's view needs none.
   thread_local Page scratch;
-  SIGSET_ASSIGN_OR_RETURN(
-      const Page* page,
-      file_->View(oid.page(), &scratch, io != nullptr ? io : &file_->stats()));
-  uint16_t len = 0;
-  const uint8_t* rec = SlottedPage::Get(*page, oid.slot(), &len);
+  return scratch;
+}
+
+Status MultiObjectStore::Decode(Oid oid, const uint8_t* rec, uint16_t len,
+                                MultiSetObject* out) const {
   if (rec == nullptr) {
     return Status::NotFound("no object at " + oid.ToString());
   }

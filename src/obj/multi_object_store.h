@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -63,9 +64,30 @@ class MultiObjectStore {
   // resolution workers).
   StatusOr<MultiSetObject> Get(Oid oid, IoStats* io = nullptr) const;
 
-  // Get into `*out`, reusing its sets' storage (candidate resolution
-  // fetches every candidate into one object).
+  // GetMany of one: Get into `*out`, reusing its sets' storage.
   Status GetInto(Oid oid, MultiSetObject* out, IoStats* io = nullptr) const;
+
+  // Fetches each of `oids` into `*obj`, reusing its sets' storage, and
+  // calls `fn(i, status, *obj)` once per OID, in order: `status` is OK
+  // with `oids[i]`'s object in `*obj`, or kNotFound (a tombstone or a slot
+  // past the page's count; `*obj` is then stale), exactly what GetInto
+  // returns.  `fn` returns a Status; the first non-OK one ends the call and
+  // is returned.  An invalid OID or a failed page read ends the call with
+  // GetInto's error after `fn` has seen every OID before it; a corrupt
+  // record ends it with kCorruption.  One page read per OID, in order,
+  // charged to `*io` (the file's counters when null).
+  //
+  // Candidate resolution fetches through here.  It works in groups of up
+  // to kViewGroupSize OIDs, in three passes: view each page in order and
+  // prefetch its slot entry; locate each record and prefetch it; decode
+  // each record and call `fn`.  So an in-memory file's page misses
+  // overlap.  A View that returned the scratch page ends its group, so a
+  // copying file decodes each page before it reads the next.  On a corrupt
+  // record or a non-OK status from `fn`, up to kViewGroupSize - 1 later
+  // OIDs of the group have already been charged a read.
+  template <typename Fn>
+  Status GetMany(std::span<const Oid> oids, IoStats* io, MultiSetObject* obj,
+                 Fn fn) const;
 
   // Removes the object (one page read + one page write).  The OID becomes
   // dangling; access facilities are responsible for their own bookkeeping.
@@ -140,6 +162,12 @@ class MultiObjectStore {
   Status LoadReplaySlot(Oid oid, Page* page, bool* changed);
   // Writes a replayed page and drops it from the room list.
   Status WriteReplayed(Oid oid, const Page& page);
+  // GetMany's per-thread scratch page.
+  static Page& ReadScratch();
+  // Decodes `oid`'s record (`rec`, `len` bytes; null for no object) into
+  // `*out`: OK, kNotFound or kCorruption.
+  Status Decode(Oid oid, const uint8_t* rec, uint16_t len,
+                MultiSetObject* out) const;
 
   PageFile* file_;
   uint16_t num_attributes_;
@@ -149,6 +177,57 @@ class MultiObjectStore {
   std::list<Room> rooms_;
   std::unordered_map<PageId, std::list<Room>::iterator> room_of_;
 };
+
+template <typename Fn>
+Status MultiObjectStore::GetMany(std::span<const Oid> oids, IoStats* io,
+                                 MultiSetObject* obj, Fn fn) const {
+  Page& scratch = ReadScratch();
+  if (io == nullptr) io = &file_->stats();
+  const Page* pages[kViewGroupSize];
+  const uint8_t* records[kViewGroupSize];
+  uint16_t lens[kViewGroupSize];
+  for (size_t begin = 0; begin < oids.size();) {
+    // Pass 1: the group's page reads, in order.  A failed one ends the
+    // group; the members before it are still decoded and handed to `fn`.
+    Status failed;
+    size_t end = begin;
+    while (end < oids.size() && end - begin < kViewGroupSize) {
+      const Oid oid = oids[end];
+      if (!oid.valid()) {
+        failed = Status::InvalidArgument("invalid oid");
+        break;
+      }
+      StatusOr<const Page*> page = file_->View(oid.page(), &scratch, io);
+      if (!page.ok()) {
+        failed = page.status();
+        break;
+      }
+      SlottedPage::PrefetchSlot(**page, oid.slot());
+      pages[end++ - begin] = *page;
+      if (*page == &scratch) break;
+    }
+    // Pass 2: each record's location, and a prefetch of its bytes.
+    for (size_t i = begin; i < end; ++i) {
+      const size_t k = i - begin;
+      lens[k] = 0;
+      records[k] = SlottedPage::Get(*pages[k], oids[i].slot(), &lens[k]);
+      if (records[k] != nullptr) {
+        __builtin_prefetch(records[k]);
+        __builtin_prefetch(records[k] + lens[k] - 1);
+      }
+    }
+    // Pass 3: decode and hand over.
+    for (size_t i = begin; i < end; ++i) {
+      const size_t k = i - begin;
+      Status got = Decode(oids[i], records[k], lens[k], obj);
+      if (!got.ok() && got.code() != StatusCode::kNotFound) return got;
+      SIGSET_RETURN_IF_ERROR(fn(i, got, *obj));
+    }
+    SIGSET_RETURN_IF_ERROR(failed);
+    begin = end;
+  }
+  return Status::OK();
+}
 
 }  // namespace sigsetdb
 

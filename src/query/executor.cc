@@ -79,40 +79,38 @@ StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
     TraceTimer timer(trace != nullptr);
     IoStats* io = workers > 1 ? &ws.io : &store.stats();
     ws.processed = end - begin;
+    const std::span<const Oid> range =
+        std::span(candidates.oids).subspan(begin, end - begin);
     MultiSetObject obj;  // reused: one fetch per candidate, no allocation
-    for (size_t i = begin; i < end; ++i) {
-      const Oid oid = candidates.oids[i];
-      Status got = store.GetInto(oid, &obj, io);
-      if (!got.ok()) {
-        // A candidate with no stored object is a false drop, not an error
-        // — even for exact candidate sets: crash recovery rolls the
-        // indexes back to a checkpoint that can still reference objects
-        // whose store delete already committed.
-        if (got.code() == StatusCode::kNotFound) {
-          ++ws.false_drops;
-          continue;
-        }
-        ws.status = std::move(got);
-        return;
-      }
-      bool keep =
-          Satisfies(obj.attrs[driver_attr], driving.kind, driving.query);
-      if (!keep && candidates.exact) {
-        ws.status = Status::Internal(
-            "facility reported exact candidates but " + oid.ToString() +
-            " fails the predicate");
-        return;
-      }
-      for (size_t p = 0; keep && p < preds.size(); ++p) {
-        keep = p == driver ||
-               Satisfies(obj.attrs[attrs[p]], preds[p].kind, preds[p].query);
-      }
-      if (keep) {
-        ws.kept.push_back(oid);
-      } else {
-        ++ws.false_drops;
-      }
-    }
+    ws.status = store.GetMany(
+        range, io, &obj,
+        [&](size_t i, const Status& got, const MultiSetObject& object) {
+          // A candidate with no stored object is a false drop, not an
+          // error — even for exact candidate sets: crash recovery rolls the
+          // indexes back to a checkpoint that can still reference objects
+          // whose store delete already committed.
+          if (!got.ok()) {
+            ++ws.false_drops;
+            return Status::OK();
+          }
+          bool keep = Satisfies(object.attrs[driver_attr], driving.kind,
+                                driving.query);
+          if (!keep && candidates.exact) {
+            return Status::Internal(
+                "facility reported exact candidates but " +
+                range[i].ToString() + " fails the predicate");
+          }
+          for (size_t p = 0; keep && p < preds.size(); ++p) {
+            keep = p == driver || Satisfies(object.attrs[attrs[p]],
+                                            preds[p].kind, preds[p].query);
+          }
+          if (keep) {
+            ws.kept.push_back(range[i]);
+          } else {
+            ++ws.false_drops;
+          }
+          return Status::OK();
+        });
     ws.wall_ms = timer.ElapsedMs();
   };
   const IoStats before = store.stats();

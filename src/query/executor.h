@@ -72,6 +72,10 @@ StatusOr<CandidateResult> SelectCandidates(
 // a false drop.  With a parallel context the candidate list is split into
 // contiguous ranges resolved concurrently and concatenated in range order,
 // so the OID order, counts and page-access totals match the serial loop.
+// Each range is fetched with MultiObjectStore::GetMany, in groups of up to
+// kViewGroupSize pages; when an error ends a range (a corrupt record, or
+// the exact-candidate check), up to kViewGroupSize - 1 later candidates of
+// its group have already been charged a read.
 StatusOr<QueryResult> ResolveCandidates(const CandidateResult& candidates,
                                         const MultiObjectStore& store,
                                         std::span<const SetPredicate> preds,

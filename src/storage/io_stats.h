@@ -110,6 +110,7 @@ struct IoStats : PageCounterFields<std::atomic<uint64_t>> {
           uint64_t cows = 0, uint64_t hots = 0) {
     Store(PageCounts{{reads, writes, skips, cows, hots}});
   }
+  explicit IoStats(const PageCounts& values) { Store(values); }
   IoStats(const IoStats& other) : Fields() { Store(other.counts()); }
   IoStats& operator=(const IoStats& other) {
     Store(other.counts());

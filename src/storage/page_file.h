@@ -20,6 +20,12 @@
 
 namespace sigsetdb {
 
+// The most page views a grouped reader (BTree::LookupMany,
+// MultiObjectStore::GetMany) holds at once: the cache misses one selection
+// keeps in flight.  A view that returned the reader's scratch page ends
+// its group early, so a copying file reads one page at a time.
+inline constexpr size_t kViewGroupSize = 16;
+
 // Abstract page-granular file.  Implementations must count one page access
 // per Read/Write call — into `*io` when the caller supplies one, into the
 // file's own stats() otherwise.  The redirect exists for parallel query
@@ -51,11 +57,15 @@ class PageFile {
   // nodes) it returns them in place; otherwise it reads into `*scratch` and
   // returns `scratch`, which is this default.  Lifetime rule: the caller
   // uses the view only inside the function that took it.  It is never
-  // stored in a member or returned, never held across a write to this
-  // file, and its scratch is never passed to a callee.  For an
-  // EpochReadView, the reader's pin keeps the viewed version node alive.
-  // CachedPageFile keeps this default: another thread can evict a frame,
-  // so a pointer into the pool would need a pin.
+  // stored in a member or returned, and its scratch is never passed to a
+  // callee.  A function may hold several views of one file at once (the
+  // grouped readers hold up to kViewGroupSize), but never across a write
+  // to that file; at most one held view is in the scratch page, and it is
+  // the last one taken, so a view that returned `scratch` is used before
+  // the next View call.  For an EpochReadView, the reader's pin keeps the
+  // viewed version nodes alive.  CachedPageFile keeps this default:
+  // another thread can evict a frame, so a pointer into the pool would
+  // need a pin.
   virtual StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) {
     SIGSET_RETURN_IF_ERROR(Read(id, scratch, io));
     return scratch;

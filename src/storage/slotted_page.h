@@ -64,6 +64,14 @@ class SlottedPage {
   // Readers holding a read-only page view use this form.
   static const uint8_t* Get(const Page& page, uint16_t slot, uint16_t* len);
 
+  // Starts loading the cache lines Get(page, slot, ...) reads first: the
+  // header and the slot's directory entry.  A hint; it changes nothing.
+  static void PrefetchSlot(const Page& page, uint16_t slot) {
+    __builtin_prefetch(page.data());
+    const size_t entry = SlotDirOffset(slot);
+    if (entry < kPageSize) __builtin_prefetch(page.data() + entry);
+  }
+
   // Get on the wrapped page.
   const uint8_t* Get(uint16_t slot, uint16_t* len) const {
     return Get(*page_, slot, len);

@@ -66,9 +66,10 @@ StatusOr<PageFile*> StorageManager::OpenOrCreate(const std::string& name) {
 }
 
 IoStats StorageManager::TotalStats() const {
-  IoStats total;
-  for (const auto& [name, file] : files_) total += file->stats();
-  return total;
+  // Summed as plain values: IoStats' += is an atomic add per counter.
+  PageCounts total;
+  for (const auto& [name, file] : files_) total += file->stats().counts();
+  return IoStats(total);
 }
 
 void StorageManager::ForEachFile(

@@ -1,11 +1,20 @@
 #include "nix/btree.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "storage/disk_page_file.h"
+#include "storage/fault_injecting_page_file.h"
+#include "storage/versioned_page_file.h"
 #include "util/rng.h"
 
 namespace sigsetdb {
@@ -707,6 +716,188 @@ TEST_F(BTreeLeafEditTest, RemovingADuplicateOidTakesOneOccurrence) {
   ASSERT_TRUE(Apply(10, {}, {dup, dup}).ok());
   EXPECT_EQ(*tree_->Lookup(10), std::vector<Oid>{MakeOid(9)});
   ExpectLeafMatchesOracle();
+}
+
+// ---- LookupMany ----------------------------------------------------------
+
+// A fanout-4 tree of height 3 over the keys 10, 20, ..., 6000 with 1 to 29
+// postings each (20 leaves), plus kChainKey, whose 1,200 postings live in an
+// overflow chain, read through each kind of file a tree is read through:
+// the in-memory, CoW and epoch-pinned files lend their pages, so their
+// leaves group; the on-disk and fault-injecting files copy, so each group
+// holds one leaf.
+class BTreeLookupManyTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  static constexpr uint64_t kChainKey = 3005;
+  static constexpr uint32_t kFanout = 4;
+
+  void SetUp() override {
+    const std::string& type = GetParam();
+    PageFile* file = &memory_;
+    if (type == "on_disk") {
+      path_ = ::testing::TempDir() + "sigsetdb_lookup_many_" +
+              std::to_string(::getpid()) + ".pages";
+      auto disk = OnDiskPageFile::Open("disk", path_);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      disk_ = std::move(*disk);
+      file = disk_.get();
+    } else if (type == "fault_injecting") {
+      faulty_ = std::make_unique<FaultInjectingPageFile>(&memory_, &injector_);
+      file = faulty_.get();
+    } else if (type == "versioned" || type == "epoch_read_view") {
+      auto versioned = VersionedPageFile::Wrap(&memory_, &published_);
+      ASSERT_TRUE(versioned.ok()) << versioned.status().ToString();
+      versioned_ = std::move(*versioned);
+      file = versioned_.get();
+    }
+    auto tree = BTree::Create(file, kFanout);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    std::vector<BTreeEntry> entries;
+    for (uint64_t k = 10; k <= 6000; k += 10) {
+      for (uint64_t j = 0; j <= k / 10 % 29; ++j) {
+        oracle_[k].push_back(MakeOid(k + j));
+      }
+      entries.push_back({k, oracle_[k]});
+    }
+    ASSERT_TRUE((*tree)->BulkLoad(entries).ok());
+    // Grown one posting at a time, so the chain is unordered on disk.
+    for (uint64_t i = 0; i < 1200; ++i) {
+      const Oid oid = MakeOid(7 * (1200 - i));
+      ASSERT_TRUE((*tree)->Insert(kChainKey, oid).ok());
+      oracle_[kChainKey].push_back(oid);
+    }
+    std::sort(oracle_[kChainKey].begin(), oracle_[kChainKey].end());
+    ASSERT_GT((*tree)->overflow_pages(), 0u);
+    ASSERT_EQ((*tree)->height(), 3u);
+    if (type == "epoch_read_view") {
+      published_.store(1);
+      view_ = std::make_unique<EpochReadView>(versioned_.get(), 1);
+      auto pinned = BTree::CreateReadView(
+          view_.get(), kFanout, (*tree)->root(), (*tree)->height(),
+          (*tree)->leaf_pages(), (*tree)->internal_pages(),
+          (*tree)->overflow_pages());
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      tree_ = std::move(*pinned);
+      file = view_.get();
+    } else {
+      tree_ = std::move(*tree);
+    }
+    file_ = file;
+  }
+
+  void TearDown() override {
+    disk_.reset();
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+
+  // LookupMany(keys) gives the oracle's postings, and the file's read
+  // counter moves by as much as one Lookup per key moves it.
+  void ExpectMatchesOneKeyLookups(const std::vector<uint64_t>& keys) {
+    file_->stats().Reset();
+    std::vector<std::vector<Oid>> got = {{MakeOid(1)}};
+    ASSERT_TRUE(tree_->LookupMany(keys, &got).ok());
+    const uint64_t grouped = file_->stats().reads();
+    ASSERT_EQ(got.size(), keys.size());
+    file_->stats().Reset();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto one = tree_->Lookup(keys[i]);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      const auto it = oracle_.find(keys[i]);
+      const std::vector<Oid> want =
+          it == oracle_.end() ? std::vector<Oid>{} : it->second;
+      EXPECT_EQ(got[i], want) << "key " << keys[i] << " at " << i;
+      EXPECT_EQ(*one, want) << "key " << keys[i];
+    }
+    EXPECT_EQ(grouped, file_->stats().reads());
+    EXPECT_EQ(grouped, keys.size() * (tree_->height() + 1u) +
+                           ChainPages(keys));
+  }
+
+  // The overflow pages the keys' chains take, one read each.
+  uint64_t ChainPages(const std::vector<uint64_t>& keys) const {
+    return tree_->overflow_pages() *
+           std::count(keys.begin(), keys.end(), kChainKey);
+  }
+
+  InMemoryPageFile memory_{"nix"};
+  std::string path_;
+  std::unique_ptr<OnDiskPageFile> disk_;
+  FaultInjector injector_;
+  std::unique_ptr<FaultInjectingPageFile> faulty_;
+  std::atomic<uint64_t> published_{0};
+  std::unique_ptr<VersionedPageFile> versioned_;
+  std::unique_ptr<EpochReadView> view_;
+  PageFile* file_ = nullptr;
+  std::unique_ptr<BTree> tree_;
+  std::map<uint64_t, std::vector<Oid>> oracle_;
+};
+
+TEST_P(BTreeLookupManyTest, PresentAbsentAndOutOfRangeKeys) {
+  ExpectMatchesOneKeyLookups({0, 10, 15, 2990, 3000, 3001, 5990, 6000, 6001,
+                              std::numeric_limits<uint64_t>::max()});
+}
+
+TEST_P(BTreeLookupManyTest, RepeatedKeysAndAnEmptyList) {
+  ExpectMatchesOneKeyLookups({40, 40, 55, 40});
+  ExpectMatchesOneKeyLookups({});
+}
+
+TEST_P(BTreeLookupManyTest, MoreKeysThanAGroup) {
+  Rng rng(11);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 3 * 16 + 5; ++i) keys.push_back(rng.NextBelow(6100));
+  ExpectMatchesOneKeyLookups(keys);
+}
+
+TEST_P(BTreeLookupManyTest, OverflowChainInTheMiddleOfAGroup) {
+  ExpectMatchesOneKeyLookups({100, 200, 300, kChainKey, 400, 405, 500});
+  // The chain key at the end of one group, at the start of the next and
+  // twice within the third.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; k <= 40; ++k) keys.push_back(k * 130);
+  keys[15] = kChainKey;
+  keys[16] = kChainKey;
+  keys[35] = kChainKey;
+  keys[38] = kChainKey;
+  ExpectMatchesOneKeyLookups(keys);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryReadFile, BTreeLookupManyTest,
+                         ::testing::Values("in_memory", "on_disk",
+                                           "fault_injecting", "versioned",
+                                           "epoch_read_view"));
+
+// Lends an in-memory file's pages, as InMemoryPageFile does, and records
+// the id of every page viewed.
+class RecordingPageFile : public InMemoryPageFile {
+ public:
+  using InMemoryPageFile::InMemoryPageFile;
+  using PageFile::View;
+  StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) override {
+    viewed.push_back(id);
+    return InMemoryPageFile::View(id, scratch, io);
+  }
+  std::vector<PageId> viewed;
+};
+
+TEST(BTreeLookupManyOrderTest, ViewsThePagesOfOneKeyLookupsInTheirOrder) {
+  RecordingPageFile file("nix");
+  auto tree = BTree::Create(&file, /*max_fanout=*/8);
+  ASSERT_TRUE(tree.ok());
+  std::vector<BTreeEntry> entries;
+  for (uint64_t k = 0; k < 3000; ++k) entries.push_back({k, {MakeOid(k)}});
+  ASSERT_TRUE((*tree)->BulkLoad(entries).ok());
+  Rng rng(12);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 37; ++i) keys.push_back(rng.NextBelow(3100));
+  file.viewed.clear();
+  std::vector<std::vector<Oid>> got;
+  ASSERT_TRUE((*tree)->LookupMany(keys, &got).ok());
+  const std::vector<PageId> grouped = file.viewed;
+  file.viewed.clear();
+  for (uint64_t key : keys) ASSERT_TRUE((*tree)->Lookup(key).ok());
+  EXPECT_EQ(grouped, file.viewed);
+  EXPECT_EQ(grouped.size(), keys.size() * ((*tree)->height() + 1u));
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "obj/multi_object_store.h"
 
+#include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "storage/fault_injecting_page_file.h"
 #include "storage/slotted_page.h"
+#include "storage/versioned_page_file.h"
 #include "util/rng.h"
 
 namespace sigsetdb {
@@ -307,6 +311,163 @@ TEST_F(StoreChurnTest, ChurnNeverRepeatsAnOid) {
   }
   ExpectAllReadable();
 }
+
+// GetMany against GetInto over a file that lends its pages (in memory, CoW)
+// and one that copies them (the fault-injecting decorator, unarmed): 300
+// one-attribute objects of 10 elements (84-byte records, 47 to a page),
+// with objects 50 and 51 deleted.
+class GetManyTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    PageFile* file = &memory_;
+    if (GetParam() == "fault_injecting") {
+      faulty_ = std::make_unique<FaultInjectingPageFile>(&memory_, &injector_);
+      file = faulty_.get();
+    } else if (GetParam() == "versioned") {
+      auto versioned = VersionedPageFile::Wrap(&memory_, &published_);
+      ASSERT_TRUE(versioned.ok()) << versioned.status().ToString();
+      versioned_ = std::move(*versioned);
+      file = versioned_.get();
+    }
+    file_ = file;
+    store_ = std::make_unique<MultiObjectStore>(file, 1);
+    Rng rng(21);
+    for (int i = 0; i < 300; ++i) {
+      auto oid = store_->Insert({rng.SampleWithoutReplacement(1000, 10)});
+      ASSERT_TRUE(oid.ok());
+      oids_.push_back(*oid);
+    }
+    ASSERT_TRUE(store_->Delete(oids_[50]).ok());
+    ASSERT_TRUE(store_->Delete(oids_[51]).ok());
+  }
+
+  // One call's statuses and objects, in the order `fn` saw them.
+  struct Fetched {
+    std::vector<Status> statuses;
+    std::vector<MultiSetObject> objects;
+    Status result;
+    uint64_t reads = 0;
+  };
+
+  Fetched ViaGetMany(const std::vector<Oid>& oids) {
+    Fetched out;
+    file_->stats().Reset();
+    MultiSetObject obj;
+    size_t next = 0;
+    out.result = store_->GetMany(
+        oids, nullptr, &obj,
+        [&](size_t i, const Status& got, const MultiSetObject& object) {
+          EXPECT_EQ(i, next++);
+          out.statuses.push_back(got);
+          out.objects.push_back(got.ok() ? object : MultiSetObject{});
+          return Status::OK();
+        });
+    out.reads = file_->stats().reads();
+    return out;
+  }
+
+  // The serial loop GetMany replaces: GetInto per OID, stopping at the
+  // first error that is not kNotFound.
+  Fetched ViaGetInto(const std::vector<Oid>& oids) {
+    Fetched out;
+    file_->stats().Reset();
+    MultiSetObject obj;
+    for (Oid oid : oids) {
+      Status got = store_->GetInto(oid, &obj);
+      if (!got.ok() && got.code() != StatusCode::kNotFound) {
+        out.result = got;
+        break;
+      }
+      out.statuses.push_back(got);
+      out.objects.push_back(got.ok() ? obj : MultiSetObject{});
+    }
+    out.reads = file_->stats().reads();
+    return out;
+  }
+
+  void ExpectMatchesGetInto(const std::vector<Oid>& oids) {
+    const Fetched grouped = ViaGetMany(oids);
+    const Fetched serial = ViaGetInto(oids);
+    EXPECT_EQ(grouped.result, serial.result) << grouped.result.ToString();
+    EXPECT_EQ(grouped.statuses, serial.statuses);
+    ASSERT_EQ(grouped.objects.size(), serial.objects.size());
+    for (size_t i = 0; i < grouped.objects.size(); ++i) {
+      EXPECT_EQ(grouped.objects[i].oid, serial.objects[i].oid) << i;
+      EXPECT_EQ(grouped.objects[i].attrs, serial.objects[i].attrs) << i;
+    }
+    EXPECT_EQ(grouped.reads, serial.reads);
+    if (serial.result.ok()) {
+      EXPECT_EQ(grouped.reads, oids.size());
+    }
+  }
+
+  InMemoryPageFile memory_{"obj"};
+  FaultInjector injector_;
+  std::unique_ptr<FaultInjectingPageFile> faulty_;
+  std::atomic<uint64_t> published_{0};
+  std::unique_ptr<VersionedPageFile> versioned_;
+  PageFile* file_ = nullptr;
+  std::unique_ptr<MultiObjectStore> store_;
+  std::vector<Oid> oids_;
+};
+
+TEST_P(GetManyTest, OneOid) {
+  ExpectMatchesGetInto({oids_[7]});
+  ExpectMatchesGetInto({oids_[50]});
+  ExpectMatchesGetInto({});
+}
+
+TEST_P(GetManyTest, TombstonesSlotsPastTheCountAndSharedPages) {
+  const Oid past = Oid::FromLocation(oids_[0].page(), 200);
+  MultiSetObject obj;
+  ASSERT_EQ(store_->GetInto(past, &obj).code(), StatusCode::kNotFound);
+  ExpectMatchesGetInto(
+      {oids_[3], oids_[4], oids_[50], past, oids_[51], oids_[120], oids_[4]});
+}
+
+TEST_P(GetManyTest, MoreOidsThanAGroup) {
+  ExpectMatchesGetInto(oids_);
+  Rng rng(22);
+  std::vector<Oid> picks;
+  for (int i = 0; i < 73; ++i) picks.push_back(oids_[rng.NextBelow(300)]);
+  ExpectMatchesGetInto(picks);
+}
+
+TEST_P(GetManyTest, OutOfRangePageInTheMiddleOfAGroup) {
+  std::vector<Oid> oids(oids_.begin(), oids_.begin() + 20);
+  const PageId past_end = store_->num_pages() + 3;
+  oids[9] = Oid::FromLocation(past_end, 0);
+  ExpectMatchesGetInto(oids);
+  Page page;
+  const Status range = file_->Read(past_end, &page);
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(ViaGetMany(oids).result, range);
+  oids[9] = Oid();
+  ExpectMatchesGetInto(oids);
+  EXPECT_EQ(ViaGetMany(oids).result.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_P(GetManyTest, AnErrorFromFnEndsTheCall) {
+  MultiSetObject obj;
+  size_t calls = 0;
+  const Status stop = Status::Internal("stop");
+  file_->stats().Reset();
+  const Status result = store_->GetMany(
+      oids_, nullptr, &obj,
+      [&](size_t i, const Status&, const MultiSetObject&) {
+        ++calls;
+        return i == 20 ? stop : Status::OK();
+      });
+  EXPECT_EQ(result, stop);
+  EXPECT_EQ(calls, 21u);
+  // The rest of the second group may have been read already.
+  EXPECT_GE(file_->stats().reads(), 21u);
+  EXPECT_LE(file_->stats().reads(), 2 * kViewGroupSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(LendingAndCopyingFiles, GetManyTest,
+                         ::testing::Values("in_memory", "versioned",
+                                           "fault_injecting"));
 
 }  // namespace
 }  // namespace sigsetdb

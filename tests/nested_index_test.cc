@@ -181,6 +181,36 @@ TEST_F(NestedIndexTest, SupersetLookupCostMatchesRcTimesDq) {
   EXPECT_EQ(file_.stats().page_reads, rc * query.size());
 }
 
+// The roster's key is a query element like any other absent one: every
+// path charges its descent, none returns the ∅ objects for it.
+TEST_F(NestedIndexTest, QueriesNamingTheRosterKeyDoNotSeeTheRoster) {
+  MakeIndex(/*fanout=*/8);
+  Populate(2000, 300, 5, 9);
+  for (uint64_t i = 2000; i < 2005; ++i) {
+    ASSERT_TRUE(nix_->Insert(MakeOid(i), ElementSet{}).ok());
+  }
+  ASSERT_EQ(nix_->empty_set_oids().size(), 5u);
+  const uint32_t rc = nix_->tree().height() + 1;
+  const ElementSet query = {17, kEmptySetKey};
+  const ElementSet just_17 = {17};
+  for (QueryKind kind : {QueryKind::kSuperset, QueryKind::kOverlaps}) {
+    file_.stats().Reset();
+    auto got = nix_->Candidates(kind, query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(file_.stats().page_reads, rc * query.size());
+    auto want = nix_->Candidates(QueryKind::kOverlaps, just_17);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->oids, kind == QueryKind::kSuperset ? std::vector<Oid>{}
+                                                      : want->oids);
+  }
+  // ⊆ merges the roster in once, for ∅ ⊆ Q, not for the key.
+  auto subset = nix_->Candidates(QueryKind::kSubset, query);
+  ASSERT_TRUE(subset.ok());
+  auto plain = nix_->Candidates(QueryKind::kSubset, just_17);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(subset->oids, plain->oids);
+}
+
 // ---- pinned page images ----
 //
 // A seeded stream of ApplyBatch calls over a fanout-8 tree, in phases.  After

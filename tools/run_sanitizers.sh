@@ -148,11 +148,16 @@ case "${1:-all}" in
     # sanitizers repeat with AVX2 forced off so the portable merge and
     # galloping paths get the same scrutiny, and the dispatched bench gate
     # asserts the >= 2x claim on 64k posting lists where the hardware can.
+    # NIX lookups and candidate fetches hold up to 16 page views at once
+    # (grouped reads); the B-tree, object-store and 4-thread resolution
+    # suites run them under ASan over lending and copying files.
     shift
     run_one address -R \
-      'kernels_test|btree|nested_index|query_differential_fuzz' "$@"
+      'kernels_test|btree|nested_index|multi_object_store|parallel_executor|query_differential_fuzz' \
+      "$@"
     SIGSET_DISABLE_AVX2=1 run_one address -R \
-      'kernels_test|btree|nested_index|query_differential_fuzz' "$@"
+      'kernels_test|btree|nested_index|multi_object_store|parallel_executor|query_differential_fuzz' \
+      "$@"
     run_one thread -R \
       'kernels_test|nested_index|query_differential_fuzz' "$@"
     SIGSET_DISABLE_AVX2=1 run_one thread -R \
