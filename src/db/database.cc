@@ -67,21 +67,15 @@ Database::Database(StorageManager* storage, Options options)
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
     ctx_.pool = pool_.get();
   }
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   if (options_.enable_snapshots) {
     epochs_ = std::make_unique<EpochManager>();
   }
   if (options_.enable_telemetry) {
     recorder_ =
         std::make_unique<FlightRecorder>(options_.flight_recorder_capacity);
-    watchdog_ = std::make_unique<DriftWatchdog>(metrics_, recorder_.get(),
+    watchdog_ = std::make_unique<DriftWatchdog>(metrics(), recorder_.get(),
                                                 options_.drift);
-    if (epochs_ != nullptr) epochs_->SetMetrics(metrics_);
+    if (epochs_ != nullptr) epochs_->SetMetrics(metrics());
   }
 }
 
@@ -228,7 +222,7 @@ StatusOr<std::unique_ptr<DatabaseSnapshot>> Database::GetSnapshot() {
     return Status::FailedPrecondition(
         "snapshots disabled (Options::enable_snapshots)");
   }
-  return DatabaseSnapshot::Create(epochs_->Pin(), metrics_, recorder_.get());
+  return DatabaseSnapshot::Create(epochs_->Pin(), metrics(), recorder_.get());
 }
 
 uint64_t Database::current_epoch() const {
@@ -296,7 +290,7 @@ StatusOr<std::unique_ptr<Database>> Database::Start(
     }
     if (wal_file != nullptr) {
       SIGSET_ASSIGN_OR_RETURN(
-          db->wal_, WriteAheadLog::Create(wal_file, 0, db->metrics_));
+          db->wal_, WriteAheadLog::Create(wal_file, 0, db->metrics()));
       db->wal_->set_group_commit_window(options.group_commit_window_us);
       // Checkpoint immediately so a crash before the first user checkpoint
       // still reopens: the manifest anchors replay at lsn 0.
@@ -344,7 +338,7 @@ StatusOr<std::unique_ptr<Database>> Database::Start(
     const uint64_t wal_lsn = ckpt_lsn.ok() ? *ckpt_lsn : 0;
     SIGSET_ASSIGN_OR_RETURN(
         WriteAheadLog::OpenResult scan,
-        WriteAheadLog::Open(wal_file, wal_lsn, db->metrics_));
+        WriteAheadLog::Open(wal_file, wal_lsn, db->metrics()));
     db->wal_ = std::move(scan.log);
     db->wal_->set_group_commit_window(options.group_commit_window_us);
     std::vector<LogRecord> to_replay;
@@ -660,7 +654,7 @@ StatusOr<size_t> Database::ReadView::Find(const std::string& attribute) const {
 
 Database::ReadView Database::LiveView() const {
   return ReadView{store_.get(), attrs_, storage_, /*objects=*/nullptr,
-                  execution_context(), metrics_};
+                  execution_context(), metrics()};
 }
 
 StatusOr<size_t> Database::AttributeIndex(const std::string& attribute) const {
@@ -818,7 +812,7 @@ StatusOr<Database::Selection> Database::Select(
   }
   const BitSlicedSignatureFile* bssf = attrs_[sel.attrs[sel.driver]]->bssf();
   if (bssf != nullptr && bssf->hot_tier_enabled()) {
-    bssf->hot_tier().ExportMetrics(metrics_, "hot_tier");
+    bssf->hot_tier().ExportMetrics(metrics(), "hot_tier");
   }
   if (recorder_ != nullptr) {
     Cached(&m.kind_latency_us[static_cast<size_t>(driver.kind)], [&] {

@@ -107,7 +107,6 @@ class Database {
     bool maintain_bssf = true;
     bool maintain_nix = true;
     SignatureConfig sig{250, 2};
-    BssfInsertMode bssf_mode = BssfInsertMode::kSparse;
     uint32_t nix_fanout = kPaperFanout;
     // Domain-cardinality estimate for the cost model (the paper's V).
     // <= 0 (default): estimated live via a per-attribute HyperLogLog.
@@ -121,9 +120,6 @@ class Database {
     // resolution).  1 (the default) is fully serial.  Results and logical
     // page-access counts are identical at any setting.
     size_t num_threads = 1;
-    // Registry receiving per-query counters and latency histograms (not
-    // owned).  nullptr = the database owns one, reachable via metrics().
-    MetricsRegistry* metrics = nullptr;
     // Write-ahead logging (see SetIndex::Options::enable_wal): mutations are
     // acknowledged only after their logical record is durable in
     // "<name>.wal", and Open() replays records past the last checkpoint.
@@ -215,8 +211,8 @@ class Database {
       const std::string& r_attribute, const std::string& s_attribute,
       const JoinSpec& spec = {});
 
-  // The registry this database reports into (configured or owned).
-  MetricsRegistry* metrics() const { return metrics_; }
+  // The registry this database owns and reports into.
+  MetricsRegistry* metrics() const { return metrics_.get(); }
 
   // Telemetry components (nullptr unless Options::enable_telemetry).
   FlightRecorder* flight_recorder() { return recorder_.get(); }
@@ -407,8 +403,8 @@ class Database {
   Status poison_ = Status::OK();
   std::vector<std::unique_ptr<IndexedAttribute>> attrs_;
   std::vector<ElementDictionary> dictionaries_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<MetricsRegistry> metrics_ =
+      std::make_unique<MetricsRegistry>();
   // Select's metrics, resolved to pointers on first use as obs/metrics.h
   // asks.  Each slot registers its name where Select first needs it, so a
   // name registers no earlier than a lookup per query would, and concurrent

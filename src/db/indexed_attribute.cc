@@ -135,7 +135,7 @@ Status IndexedAttribute::Adopt(
     SIGSET_ASSIGN_OR_RETURN(
         *bssf, BitSlicedSignatureFile::CreateFromExisting(
                    spec_.sig, capacity_, files[kBssfSlices], files[kBssfOid],
-                   spec_.bssf_mode, signatures));
+                   BssfInsertMode::kSparse, signatures));
   }
   return Status::OK();
 }
@@ -164,7 +164,7 @@ Status IndexedAttribute::CreateEmpty(const Files& files) {
         bssf_, BitSlicedSignatureFile::Create(spec_.sig, capacity_,
                                               files[kBssfSlices],
                                               files[kBssfOid],
-                                              spec_.bssf_mode));
+                                              BssfInsertMode::kSparse));
   }
   if (files[kNix] != nullptr) {
     SIGSET_ASSIGN_OR_RETURN(

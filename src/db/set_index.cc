@@ -22,14 +22,12 @@ StatusOr<std::unique_ptr<SetIndex>> SetIndex::Start(StorageManager* storage,
   attr.maintain_bssf = options.maintain_bssf;
   attr.maintain_nix = options.maintain_nix;
   attr.sig = options.sig;
-  attr.bssf_mode = options.bssf_mode;
   attr.nix_fanout = options.nix_fanout;
   attr.domain_estimate = options.domain_estimate;
   Database::Options engine;
   engine.attributes = {attr};
   engine.capacity = options.capacity;
   engine.num_threads = options.num_threads;
-  engine.metrics = options.metrics;
   engine.enable_wal = options.enable_wal;
   engine.group_commit_window_us = options.group_commit_window_us;
   engine.enable_snapshots = options.enable_snapshots;
@@ -95,10 +93,7 @@ StatusOr<SetIndexJoinResult> SetIndex::JoinInternal(SetIndex* s_side,
   if (s_side == nullptr) {
     return Status::InvalidArgument("join S side must not be null");
   }
-  SIGSET_ASSIGN_OR_RETURN(DatabaseJoinResult r,
-                          db_->Join(0, s_side->db_.get(), 0, spec, trace));
-  return SetIndexJoinResult{std::move(r.join), std::move(r.plan),
-                            r.page_accesses};
+  return db_->Join(0, s_side->db_.get(), 0, spec, trace);
 }
 
 StatusOr<SetIndexJoinExplainResult> SetIndex::ExplainSetJoin(

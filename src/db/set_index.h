@@ -57,20 +57,11 @@ struct SetIndexExplainResult {
   std::string json;  // trace.ToJson()
 };
 
-// A set-containment join answer annotated with the executed strategy.
-struct SetIndexJoinResult {
-  JoinResult join;
-  std::string plan;            // e.g. "sig-hash", "nested-loop"
-  uint64_t page_accesses = 0;  // measured across both sides
-};
-
-// Join answer plus per-stage trace with model predictions attached.
-struct SetIndexJoinExplainResult {
-  SetIndexJoinResult result;
-  QueryTrace trace;
-  std::string text;
-  std::string json;
-};
+// A set-containment join answer and its EXPLAIN form are the engine's
+// (db/database.h); an unnamed attribute's plan is the bare strategy name,
+// e.g. "sig-hash", "nested-loop".
+using SetIndexJoinResult = DatabaseJoinResult;
+using SetIndexJoinExplainResult = DatabaseJoinExplainResult;
 
 // End-to-end manager of one indexed set attribute.
 class SetIndex {
@@ -83,7 +74,6 @@ class SetIndex {
     bool maintain_bssf = true;
     bool maintain_nix = true;
     SignatureConfig sig{250, 2};
-    BssfInsertMode bssf_mode = BssfInsertMode::kSparse;
     uint32_t nix_fanout = kPaperFanout;
     // Capacity of the bit-sliced store (max objects).
     uint64_t capacity = 1 << 20;
@@ -96,10 +86,6 @@ class SetIndex {
     // and false-drop resolution.  Results and logical page-access counts
     // are identical at any setting.
     size_t num_threads = 1;
-    // Registry receiving per-query counters and latency histograms (not
-    // owned; may be shared across indexes).  nullptr = the index owns a
-    // private registry, reachable via metrics().
-    MetricsRegistry* metrics = nullptr;
     // Feed observed workload statistics (false-drop rate, buffer hit rate)
     // from the registry back into kAuto planning.  Off by default: the
     // pure-model plans keep page-access counts reproducible run to run,
@@ -243,7 +229,7 @@ class SetIndex {
   StatusOr<SetIndexJoinExplainResult> ExplainSetJoin(SetIndex* s_side,
                                                      const JoinSpec& spec = {});
 
-  // The registry this index reports into (configured or owned).
+  // The registry this index owns and reports into.
   MetricsRegistry* metrics() const { return db_->metrics(); }
 
   // Telemetry components (nullptr unless Options::enable_telemetry).

@@ -149,10 +149,7 @@ StatusOr<SetIndexJoinResult> Snapshot::ExecuteSetJoin(Snapshot* s_side,
   if (s_side == nullptr) {
     return Status::InvalidArgument("join S side must not be null");
   }
-  SIGSET_ASSIGN_OR_RETURN(DatabaseJoinResult r,
-                          view_->Join(0, s_side->view_.get(), 0, spec));
-  return SetIndexJoinResult{std::move(r.join), std::move(r.plan),
-                            r.page_accesses};
+  return view_->Join(0, s_side->view_.get(), 0, spec);
 }
 
 }  // namespace sigsetdb

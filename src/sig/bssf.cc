@@ -8,19 +8,6 @@
 #include "util/math.h"
 
 namespace sigsetdb {
-namespace {
-
-// Writes `page` at index `p`, allocating intermediate pages as needed (the
-// compaction target may hold stale pages from a crashed earlier attempt).
-Status WriteOrAllocate(PageFile* file, PageId p, const Page& page) {
-  while (file->num_pages() <= p) {
-    SIGSET_ASSIGN_OR_RETURN(PageId allocated, file->Allocate());
-    (void)allocated;
-  }
-  return file->Write(p, page);
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<BitSlicedSignatureFile>>
 BitSlicedSignatureFile::Create(const SignatureConfig& config,

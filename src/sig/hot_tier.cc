@@ -13,10 +13,6 @@ HotSliceTier::HotSliceTier(uint64_t num_pages, size_t capacity_pages,
       capacity_(capacity_pages),
       access_counts_(num_pages) {}
 
-bool HotSliceTier::Lookup(PageId page_no, Page* out) {
-  return VisitPage(page_no, [out](const Page& page) { *out = page; });
-}
-
 void HotSliceTier::Admit(PageId page_no, const Page& page) {
   if (page_no >= access_counts_.size() || capacity_ == 0) return;
   const uint64_t count =
@@ -31,29 +27,9 @@ void HotSliceTier::Admit(PageId page_no, const Page& page) {
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (pinned_.count(page_no) != 0) return;  // raced with another admitter
-  if (pinned_.size() >= capacity_) {
-    // Evict-lowest, but only for a strictly hotter newcomer — a tie must
-    // not thrash two equally warm pages in and out of the tier.
-    PageId coldest = kInvalidPage;
-    uint64_t coldest_count = std::numeric_limits<uint64_t>::max();
-    for (const auto& [id, copy] : pinned_) {
-      (void)copy;
-      const uint64_t c = access_counts_[id].load(std::memory_order_relaxed);
-      if (c < coldest_count) {
-        coldest_count = c;
-        coldest = id;
-      }
-    }
-    // The scanned minimum is the tightest floor known; publish it so the
-    // next hopeless candidate is rejected before the lock.  (Counts only
-    // grow, so the true minimum can never fall back below it.)
-    if (coldest_count > full_floor_.load(std::memory_order_relaxed)) {
-      full_floor_.store(coldest_count, std::memory_order_relaxed);
-    }
-    if (coldest == kInvalidPage || coldest_count >= count) return;
-    pinned_.erase(coldest);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Evict-lowest, but only for a strictly hotter newcomer — a tie must not
+  // thrash two equally warm pages in and out of the tier.
+  if (pinned_.size() >= capacity_ && !EvictColdestLocked(count)) return;
   pinned_[page_no] = std::make_unique<Page>(page);
   pinned_count_.store(pinned_.size(), std::memory_order_relaxed);
   admissions_.fetch_add(1, std::memory_order_relaxed);
@@ -65,17 +41,7 @@ void HotSliceTier::Update(PageId page_no, const Page& page) {
   if (it != pinned_.end()) *it->second = page;
 }
 
-void HotSliceTier::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  pinned_.clear();
-  pinned_count_.store(0, std::memory_order_relaxed);
-  full_floor_.store(0, std::memory_order_relaxed);
-  for (std::atomic<uint64_t>& c : access_counts_) {
-    c.store(0, std::memory_order_relaxed);
-  }
-}
-
-void HotSliceTier::EvictColdestLocked() {
+bool HotSliceTier::EvictColdestLocked(uint64_t count) {
   PageId coldest = kInvalidPage;
   uint64_t coldest_count = std::numeric_limits<uint64_t>::max();
   for (const auto& [id, copy] : pinned_) {
@@ -86,16 +52,28 @@ void HotSliceTier::EvictColdestLocked() {
       coldest = id;
     }
   }
-  if (coldest == kInvalidPage) return;
+  if (coldest == kInvalidPage) return false;
+  // The scanned minimum is the tightest floor known; publish it so the
+  // next hopeless candidate is rejected before the lock.  (Counts only
+  // grow, so the true minimum can never fall back below it.)
+  if (coldest_count > full_floor_.load(std::memory_order_relaxed)) {
+    full_floor_.store(coldest_count, std::memory_order_relaxed);
+  }
+  if (coldest_count >= count) return false;
   pinned_.erase(coldest);
   pinned_count_.store(pinned_.size(), std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void HotSliceTier::set_capacity(size_t capacity_pages) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   capacity_ = capacity_pages;
-  while (pinned_.size() > capacity_) EvictColdestLocked();
+  // A grown tier admits pages below the old floor until it is full again.
+  full_floor_.store(0, std::memory_order_relaxed);
+  while (pinned_.size() > capacity_) {
+    EvictColdestLocked(std::numeric_limits<uint64_t>::max());
+  }
 }
 
 size_t HotSliceTier::pinned_pages() const {

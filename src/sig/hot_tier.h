@@ -57,16 +57,12 @@ class HotSliceTier {
                         size_t capacity_pages = kDefaultCapacityPages,
                         uint64_t admit_threshold = kDefaultAdmitThreshold);
 
-  // Records an access to `page_no` and, when the page is pinned, copies it
-  // into `*out` and returns true (the caller charges pages_hot instead of
-  // issuing the read).  Thread-safe.
-  bool Lookup(PageId page_no, Page* out);
-
-  // Zero-copy hit path: records the access and, when pinned, runs
-  // `fn(const Page&)` under the shared lock and returns true.  The scan
-  // combines straight out of the pinned copy — a hit must beat the
-  // buffer-pool read it replaces, and a 4 KiB copy per hit would eat most
-  // of that margin.  `fn` must not re-enter the tier.
+  // Records an access to `page_no` and, when the page is pinned, runs
+  // `fn(const Page&)` under the shared lock and returns true (the caller
+  // charges pages_hot instead of issuing the read).  The scan combines
+  // straight out of the pinned copy — a hit must beat the buffer-pool read
+  // it replaces, and a 4 KiB copy per hit would eat most of that margin.
+  // `fn` must not re-enter the tier.  Thread-safe.
   template <typename Fn>
   bool VisitPage(PageId page_no, Fn&& fn) {
     if (page_no >= access_counts_.size()) return false;
@@ -84,7 +80,7 @@ class HotSliceTier {
     return true;
   }
 
-  // Offers the page image a missed Lookup just read from the file.  Pins a
+  // Offers the page image a missed VisitPage just read from the file.  Pins a
   // copy when the access counter has reached the admission threshold,
   // evicting the coldest pinned page if the tier is full and strictly
   // colder.  Thread-safe.
@@ -94,9 +90,6 @@ class HotSliceTier {
   // image the writer just produced (no-op when not pinned).  Exact and
   // I/O-free, like SliceSkipIndex::Update.
   void Update(PageId page_no, const Page& page);
-
-  // Unpins everything and zeroes the access counters (facility rebuild).
-  void Clear();
 
   // Shrinking below the pinned count evicts the coldest pages.
   void set_capacity(size_t capacity_pages);
@@ -118,8 +111,9 @@ class HotSliceTier {
                      const std::string& prefix) const;
 
  private:
-  // Evicts the coldest pinned page; caller holds mu_ exclusively.
-  void EvictColdestLocked();
+  // Evicts the coldest pinned page iff its access count is below `count`
+  // and returns whether it did; caller holds mu_ exclusively.
+  bool EvictColdestLocked(uint64_t count);
 
   const uint64_t admit_threshold_;
   size_t capacity_;
@@ -131,7 +125,8 @@ class HotSliceTier {
   // Mirror of pinned_.size() readable without mu_, and a monotone lower
   // bound on the coldest pinned page's access count (valid because counts
   // only grow and every admission is strictly hotter than the page it
-  // displaces).  Together they let Admit reject a hopeless candidate —
+  // displaces; set_capacity resets it, since a grown tier admits below
+  // it).  Together they let Admit reject a hopeless candidate —
   // tier full, newcomer no hotter than the floor — without the exclusive
   // lock or the O(pinned) coldest scan, which would otherwise serialize
   // every cold-page miss of a warmed-up scan.

@@ -7,20 +7,6 @@
 #include "util/failpoint.h"
 
 namespace sigsetdb {
-namespace {
-
-// Writes `page` at index `p`, allocating intermediate pages as needed.
-// Compaction targets may hold stale pages from a crashed earlier attempt,
-// so plain Allocate-then-Write would mis-place pages on retry.
-Status WriteOrAllocate(PageFile* file, PageId p, const Page& page) {
-  while (file->num_pages() <= p) {
-    SIGSET_ASSIGN_OR_RETURN(PageId allocated, file->Allocate());
-    (void)allocated;
-  }
-  return file->Write(p, page);
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<SequentialSignatureFile>>
 SequentialSignatureFile::Create(const SignatureConfig& config,

@@ -2,6 +2,14 @@
 
 namespace sigsetdb {
 
+Status WriteOrAllocate(PageFile* file, PageId p, const Page& page) {
+  while (file->num_pages() <= p) {
+    SIGSET_ASSIGN_OR_RETURN(PageId allocated, file->Allocate());
+    (void)allocated;
+  }
+  return file->Write(p, page);
+}
+
 StatusOr<PageId> InMemoryPageFile::Allocate() {
   if (pages_.size() >= kInvalidPage) {
     return Status::OutOfRange("page file full: " + name_);

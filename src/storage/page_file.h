@@ -91,6 +91,11 @@ class PageFile {
   virtual const IoStats& stats() const = 0;
 };
 
+// Writes `page` at index `p` of `file`, first allocating the pages up to
+// it.  Compaction targets may hold stale pages from a crashed earlier
+// attempt, so plain Allocate-then-Write would mis-place pages on retry.
+Status WriteOrAllocate(PageFile* file, PageId p, const Page& page);
+
 // Heap-backed PageFile.  Deterministic and fast; all experiment I/O costs are
 // taken from the access counters, so a RAM backing store does not distort
 // any reproduced metric.  Concurrent Reads are safe; Allocate/Write must not

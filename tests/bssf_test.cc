@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sig/hot_tier.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -325,6 +326,128 @@ TEST_F(BssfTest, AgreesWithDirectSignatureTest) {
     }
   }
   EXPECT_EQ(*sub, expected);
+}
+
+// --- the hot-slice tier's admission and eviction rules -------------------
+
+// A page image whose first byte is `tag`.
+Page TaggedPage(uint8_t tag) {
+  Page page;
+  page.bytes[0] = tag;
+  return page;
+}
+
+// Records `n` accesses to `page_no`.
+void Touch(HotSliceTier* tier, PageId page_no, int n) {
+  for (int i = 0; i < n; ++i) tier->VisitPage(page_no, [](const Page&) {});
+}
+
+// Whether `page_no` is pinned (the probe counts as one more access).
+bool Pinned(HotSliceTier* tier, PageId page_no) {
+  return tier->VisitPage(page_no, [](const Page&) {});
+}
+
+// Accesses `page_no` `n` times, then offers its image.
+void Warm(HotSliceTier* tier, PageId page_no, int n) {
+  Touch(tier, page_no, n);
+  tier->Admit(page_no, TaggedPage(static_cast<uint8_t>(page_no)));
+}
+
+TEST(HotSliceTierTest, PinsNothingBelowTheAdmissionThreshold) {
+  HotSliceTier tier(/*num_pages=*/8, /*capacity_pages=*/4);
+  ASSERT_EQ(HotSliceTier::kDefaultAdmitThreshold, 2u);
+  Warm(&tier, 3, 1);
+  EXPECT_EQ(tier.pinned_pages(), 0u);
+  EXPECT_EQ(tier.admissions(), 0u);
+  Warm(&tier, 3, 1);  // the second access reaches the threshold
+  EXPECT_EQ(tier.pinned_pages(), 1u);
+  EXPECT_EQ(tier.admissions(), 1u);
+  EXPECT_TRUE(Pinned(&tier, 3));
+}
+
+TEST(HotSliceTierTest, FullTierEvictsItsColdestPageOnlyForAHotterOne) {
+  HotSliceTier tier(/*num_pages=*/8, /*capacity_pages=*/2);
+  Warm(&tier, 0, 3);
+  Warm(&tier, 1, 4);
+  ASSERT_EQ(tier.pinned_pages(), 2u);
+  // Page 2 ties the coldest pinned page (3 accesses each): no eviction.
+  Warm(&tier, 2, 3);
+  EXPECT_EQ(tier.evictions(), 0u);
+  EXPECT_EQ(tier.admissions(), 2u);
+  // One more access makes it strictly hotter: page 0 goes, page 2 comes.
+  Warm(&tier, 2, 1);
+  EXPECT_EQ(tier.evictions(), 1u);
+  EXPECT_EQ(tier.admissions(), 3u);
+  EXPECT_EQ(tier.pinned_pages(), 2u);
+  EXPECT_FALSE(Pinned(&tier, 0));
+  EXPECT_TRUE(Pinned(&tier, 1));
+  EXPECT_TRUE(Pinned(&tier, 2));
+}
+
+TEST(HotSliceTierTest, ShrinkingEvictsTheColdestPages) {
+  HotSliceTier tier(/*num_pages=*/8, /*capacity_pages=*/4);
+  Warm(&tier, 0, 5);
+  Warm(&tier, 1, 2);
+  Warm(&tier, 2, 4);
+  Warm(&tier, 3, 3);
+  ASSERT_EQ(tier.pinned_pages(), 4u);
+  tier.set_capacity(2);
+  EXPECT_EQ(tier.capacity(), 2u);
+  EXPECT_EQ(tier.pinned_pages(), 2u);
+  EXPECT_EQ(tier.evictions(), 2u);
+  EXPECT_TRUE(Pinned(&tier, 0));
+  EXPECT_TRUE(Pinned(&tier, 2));
+  EXPECT_FALSE(Pinned(&tier, 1));
+  EXPECT_FALSE(Pinned(&tier, 3));
+}
+
+TEST(HotSliceTierTest, GrownTierStillAdmitsAPageHotterThanItsColdest) {
+  HotSliceTier tier(/*num_pages=*/8, /*capacity_pages=*/1);
+  Warm(&tier, 0, 5);
+  Warm(&tier, 1, 3);  // colder than page 0: rejected
+  ASSERT_EQ(tier.pinned_pages(), 1u);
+  tier.set_capacity(2);
+  tier.Admit(1, TaggedPage(1));  // room now: page 1 joins at 3 accesses
+  ASSERT_EQ(tier.pinned_pages(), 2u);
+  // Page 2 is colder than page 0 but hotter than page 1, the coldest.
+  Warm(&tier, 2, 4);
+  EXPECT_EQ(tier.evictions(), 1u);
+  EXPECT_FALSE(Pinned(&tier, 1));
+  EXPECT_TRUE(Pinned(&tier, 2));
+}
+
+TEST(HotSliceTierTest, UpdateRefreshesOnlyAPinnedCopy) {
+  HotSliceTier tier(/*num_pages=*/8, /*capacity_pages=*/4);
+  Warm(&tier, 1, 2);
+  tier.Update(1, TaggedPage(42));
+  uint8_t seen = 0;
+  EXPECT_TRUE(tier.VisitPage(1, [&](const Page& p) { seen = p.bytes[0]; }));
+  EXPECT_EQ(seen, 42);
+  tier.Update(5, TaggedPage(7));  // not pinned: ignored
+  EXPECT_EQ(tier.pinned_pages(), 1u);
+  EXPECT_FALSE(Pinned(&tier, 5));
+}
+
+TEST(HotSliceTierTest, VisitPageCountsEveryAccessAndHitsOnlyPinnedPages) {
+  HotSliceTier tier(/*num_pages=*/4, /*capacity_pages=*/4);
+  int calls = 0;
+  auto visit = [&](PageId p) {
+    return tier.VisitPage(p, [&](const Page&) { ++calls; });
+  };
+  EXPECT_FALSE(visit(0));
+  EXPECT_FALSE(visit(0));
+  EXPECT_EQ(tier.accesses(0), 2u);
+  tier.Admit(0, TaggedPage(0));
+  EXPECT_TRUE(visit(0));
+  EXPECT_FALSE(visit(1));
+  EXPECT_EQ(tier.accesses(0), 3u);
+  EXPECT_EQ(tier.accesses(1), 1u);
+  EXPECT_EQ(tier.hits(), 1u);
+  EXPECT_EQ(calls, 1);
+  // Pages past the slice file are neither counted nor served.
+  EXPECT_FALSE(visit(4));
+  EXPECT_EQ(tier.accesses(4), 0u);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
