@@ -2,8 +2,9 @@
 // signature hashing, set-signature construction, bit-packed extraction,
 // slice combination, B+-tree look-ups, object fetches, one selection's
 // lookups and fetches from a cold cache (one at a time and grouped), whole
-// kAuto selections, the planner's fixed costs (the live V estimate and the
-// access-path advisor), and singleton facility writes.  These are CPU-cost
+// kAuto selections (also right after a write), the planner's fixed costs
+// (the live V estimate and the access-path advisor), the drift watchdog, and
+// singleton facility writes.  These are CPU-cost
 // complements to the page-access experiments (the paper's model is
 // I/O-only).
 
@@ -15,6 +16,7 @@
 #include "bench_util.h"
 #include "db/set_index.h"
 #include "nix/btree.h"
+#include "obs/drift_watchdog.h"
 #include "query/advisor.h"
 #include "sig/bitpack.h"
 #include "sig/signature.h"
@@ -480,6 +482,78 @@ BENCHMARK(BM_SetIndexSelect)
     ->Args({static_cast<int64_t>(QueryKind::kSubset), 40})
     ->Args({static_cast<int64_t>(QueryKind::kEquals), 10})
     ->Args({static_cast<int64_t>(QueryKind::kOverlaps), 3});
+
+// A kAuto selection right after a write, over a Table-2 SetIndex in memory
+// with telemetry on, as a live database serves reads between writes.  Each
+// iteration inserts a copy of a stored set or deletes the copy it inserted
+// with the timer paused, so N steps by one (V and Dt hold) before every
+// timed selection; the timed region is the plan, candidate selection,
+// resolution and the telemetry (metrics, flight event, drift watchdog).
+// Arguments: QueryKind, Dq.
+void BM_SelectAfterWrite(benchmark::State& state) {
+  static StorageManager storage;
+  static const std::unique_ptr<SetIndex> index = [] {
+    SetIndex::Options options;
+    options.capacity = 32064;
+    options.enable_telemetry = true;
+    auto created = ValueOrDie(
+        SetIndex::Create(&storage, "after_write", options), "create");
+    WriteBatch batch;
+    for (const ElementSet& set : Objects().sets) batch.Insert(set);
+    CheckOk(created->ApplyBatch(batch).status(), "load");
+    return created;
+  }();
+  const QueryKind kind = static_cast<QueryKind>(state.range(0));
+  const int64_t dq = state.range(1);
+  const std::vector<ElementSet>& sets = Objects().sets;
+  Rng rng(9);
+  std::vector<ElementSet> queries(256);
+  for (ElementSet& query : queries) {
+    const ElementSet& target = sets[rng.NextBelow(sets.size())];
+    query = CandidateKind(kind) == QueryKind::kSuperset
+                ? MakeHittingSupersetQuery(target, dq, rng)
+                : MakeHittingSubsetQuery(target, 13000, dq, rng);
+  }
+  size_t next = 0;
+  Oid copy;
+  bool inserted = false;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (inserted) {
+      CheckOk(index->Delete(copy), "delete");
+    } else {
+      copy = ValueOrDie(index->Insert(sets[next % sets.size()]), "insert");
+    }
+    inserted = !inserted;
+    state.ResumeTiming();
+    auto result = index->Query(kind, queries[next++ % queries.size()]);
+    CheckOk(result.status(), "select");
+    benchmark::DoNotOptimize(result);
+  }
+  if (inserted) CheckOk(index->Delete(copy), "delete");
+}
+BENCHMARK(BM_SelectAfterWrite)
+    ->Args({static_cast<int64_t>(QueryKind::kSuperset), 3})
+    ->Args({static_cast<int64_t>(QueryKind::kSubset), 20});
+
+// The drift watchdog fed one live selection's trace: its candidate
+// selection and resolution stages and the whole plan's total, three
+// observations under one facility.
+void BM_DriftObserveTrace(benchmark::State& state) {
+  MetricsRegistry registry;
+  DriftWatchdog watchdog(&registry, nullptr, DriftOptions{});
+  QueryTrace trace;
+  trace.plan = "bssf smart(k=2)";
+  TraceSpan* candidates = trace.AddStage("candidate selection");
+  candidates->page_reads = 4;
+  candidates->predicted_pages = 3.9;
+  TraceSpan* resolution = trace.AddStage("resolution");
+  resolution->page_reads = 7;
+  resolution->predicted_pages = 6.4;
+  trace.predicted_total = 10.3;
+  for (auto _ : state) watchdog.ObserveTrace(trace);
+}
+BENCHMARK(BM_DriftObserveTrace);
 
 }  // namespace
 }  // namespace sigsetdb

@@ -3,9 +3,10 @@
 //
 //   1. Histogram/flight-recorder hot-path cost: median ns per Record()
 //      across batches (the tentpole budget is < 100 ns median per op).
-//   2. End-to-end overhead: the same query workload through a SetIndex with
+//   2. End-to-end overhead: the same query stream through a SetIndex with
 //      telemetry off vs on (latency histograms + flight events + internal
-//      traces + drift watchdog).
+//      traces + drift watchdog), in alternating rounds; each side prints
+//      its median and IQR over the rounds.
 //   3. Exporters: with `--metrics-out <path>` the full registry is written
 //      as an OpenMetrics exposition; with `--trace-out <path>` the traced
 //      queries (num_threads=4, so parallel worker sub-spans appear) are
@@ -77,63 +78,107 @@ void RunHotPathBench() {
                   MeasuredCost{.wall_ms = ring_ns * 1e-6});
 }
 
-// Builds a small indexed workload and times `queries` mixed queries.
-// Returns mean wall ms per query; fills `index_out` for the exporter pass.
-double RunWorkload(bool telemetry, int n, int queries,
-                   std::unique_ptr<StorageManager>* storage_out,
-                   std::unique_ptr<SetIndex>* index_out) {
-  auto storage = std::make_unique<StorageManager>();
+// A small indexed workload: `n` Table-2-shaped sets in a SetIndex with
+// telemetry off or on.
+std::unique_ptr<SetIndex> BuildIndex(bool telemetry, int n,
+                                     StorageManager* storage) {
   SetIndex::Options options;
   options.num_threads = 4;
   options.enable_telemetry = telemetry;
   auto index =
-      ValueOrDie(SetIndex::Create(storage.get(), "tele", options), "create");
+      ValueOrDie(SetIndex::Create(storage, "tele", options), "create");
   Rng rng(19930526);
   for (int i = 0; i < n; ++i) {
     ElementSet set = rng.SampleWithoutReplacement(13000, 10);
     ValueOrDie(index->Insert(set), "insert");
   }
-  auto start = std::chrono::steady_clock::now();
-  for (int q = 0; q < queries; ++q) {
-    ElementSet query = rng.SampleWithoutReplacement(13000, 1 + (q % 6));
-    QueryKind kind =
-        (q % 3 == 0) ? QueryKind::kSubset : QueryKind::kSuperset;
-    CheckOk(index->Query(kind, query).status(), "query");
-  }
-  auto end = std::chrono::steady_clock::now();
-  if (storage_out != nullptr) *storage_out = std::move(storage);
-  if (index_out != nullptr) *index_out = std::move(index);
-  return std::chrono::duration<double, std::milli>(end - start).count() /
-         queries;
+  return index;
 }
 
-void RunOverheadBench(int n, int queries) {
-  std::printf("\n-- end-to-end overhead (%d objects, %d queries) --\n", n,
-              queries);
-  std::unique_ptr<StorageManager> storage_off;
-  std::unique_ptr<SetIndex> index_off;
-  const double off_ms =
-      RunWorkload(/*telemetry=*/false, n, queries, &storage_off, &index_off);
-  std::unique_ptr<StorageManager> storage_on;
-  std::unique_ptr<SetIndex> index_on;
-  const double on_ms =
-      RunWorkload(/*telemetry=*/true, n, queries, &storage_on, &index_on);
-  std::printf("  telemetry off  %8.4f ms/query\n", off_ms);
-  std::printf("  telemetry on   %8.4f ms/query  (+%.1f%%)\n", on_ms,
-              off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0);
-  EmitBenchRecord("workload.telemetry_off",
-                  {{"n", static_cast<double>(n)},
-                   {"queries", static_cast<double>(queries)}},
-                  MeasuredCost{.wall_ms = off_ms});
-  EmitBenchRecord("workload.telemetry_on",
-                  {{"n", static_cast<double>(n)},
-                   {"queries", static_cast<double>(queries)}},
-                  MeasuredCost{.wall_ms = on_ms});
+// Runs every query of `stream` once; returns mean wall ms per query.
+double TimeStream(SetIndex* index,
+                  const std::vector<std::pair<QueryKind, ElementSet>>& stream) {
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& [kind, query] : stream) {
+    CheckOk(index->Query(kind, query).status(), "query");
+  }
+  const auto end = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(end - start).count() /
+         static_cast<double>(stream.size());
+}
+
+struct Quartiles {
+  double q1, median, q3;
+};
+
+Quartiles QuartilesOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (values[hi] - values[lo]) * (pos - lo);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+// Times the same `queries`-query stream through two indexes over the same
+// data, telemetry off and on, in `rounds` alternating rounds (the side that
+// runs first alternates too), and prints each side's median and IQR of the
+// per-round ms/query.  One run per side cannot separate a 10 % cost from
+// the machine's noise; the rounds' spread says how far the medians can be
+// trusted.
+void RunOverheadBench(int n, int queries, int rounds) {
+  std::printf("\n-- end-to-end overhead (%d objects, %d queries, %d rounds) "
+              "--\n",
+              n, queries, rounds);
+  StorageManager storage_off;
+  StorageManager storage_on;
+  const std::unique_ptr<SetIndex> index_off =
+      BuildIndex(/*telemetry=*/false, n, &storage_off);
+  const std::unique_ptr<SetIndex> index_on =
+      BuildIndex(/*telemetry=*/true, n, &storage_on);
+  Rng rng(19930527);
+  std::vector<std::pair<QueryKind, ElementSet>> stream;
+  for (int q = 0; q < queries; ++q) {
+    stream.emplace_back(
+        q % 3 == 0 ? QueryKind::kSubset : QueryKind::kSuperset,
+        rng.SampleWithoutReplacement(13000, 1 + (q % 6)));
+  }
+  // One untimed pass each warms the plan memos and the caches.
+  TimeStream(index_off.get(), stream);
+  TimeStream(index_on.get(), stream);
+  std::vector<double> off_ms, on_ms;
+  for (int r = 0; r < rounds; ++r) {
+    if (r % 2 == 0) {
+      off_ms.push_back(TimeStream(index_off.get(), stream));
+      on_ms.push_back(TimeStream(index_on.get(), stream));
+    } else {
+      on_ms.push_back(TimeStream(index_on.get(), stream));
+      off_ms.push_back(TimeStream(index_off.get(), stream));
+    }
+  }
+  const Quartiles off = QuartilesOf(off_ms);
+  const Quartiles on = QuartilesOf(on_ms);
+  std::printf("  telemetry off  median %8.2f us/query  IQR %.2f-%.2f\n",
+              off.median * 1e3, off.q1 * 1e3, off.q3 * 1e3);
+  std::printf(
+      "  telemetry on   median %8.2f us/query  IQR %.2f-%.2f  (%+.1f%%)\n",
+      on.median * 1e3, on.q1 * 1e3, on.q3 * 1e3,
+      off.median > 0 ? (on.median - off.median) / off.median * 100.0 : 0.0);
+  for (const auto& [label, side] :
+       {std::pair{"workload.telemetry_off", off},
+        std::pair{"workload.telemetry_on", on}}) {
+    EmitBenchRecord(label,
+                    {{"n", static_cast<double>(n)},
+                     {"queries", static_cast<double>(queries)},
+                     {"rounds", static_cast<double>(rounds)}},
+                    MeasuredCost{.wall_ms = side.median});
+  }
 
   const FlightRecorder* rec = index_on->flight_recorder();
   std::printf("  flight events recorded: %llu (ring capacity %zu)\n",
-              static_cast<unsigned long long>(
-                  index_on->flight_recorder()->total_recorded()),
+              static_cast<unsigned long long>(rec->total_recorded()),
               rec->capacity());
 }
 
@@ -189,7 +234,7 @@ int main(int argc, char** argv) {
   PrintBenchHeader("telemetry",
                    "observability overhead and exporter smoke test");
   RunHotPathBench();
-  RunOverheadBench(/*n=*/4000, /*queries=*/64);
+  RunOverheadBench(/*n=*/4000, /*queries=*/64, /*rounds=*/11);
   RunExporters(FindFlag(argc, argv, "--metrics-out"),
                FindFlag(argc, argv, "--trace-out"));
   return 0;

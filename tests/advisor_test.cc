@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "model/cost_bssf.h"
 #include "model/cost_nix.h"
 #include "model/cost_ssf.h"
@@ -137,6 +139,94 @@ TEST(AdvisorTest, SmartBssfCompetitiveForMultiElementSuperset) {
     }
     EXPECT_LE(bssf_best, best * 1.1) << "dq=" << dq;
   }
+}
+
+// FNV-1a over the bytes of every advised path and its breakdown.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 1099511628211ull;
+    }
+  }
+  void String(const std::string& s) { Bytes(s.data(), s.size() + 1); }
+  void Int(int64_t v) { Bytes(&v, sizeof v); }
+  void Double(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    Bytes(&bits, sizeof bits);
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+// Folds every path AdviseAccessPaths returns (facility, strategy, param and
+// the cost's bits, in rank order) and every field of its BreakdownForChoice.
+void HashAdvice(const DatabaseParams& db, const SignatureParams& sig,
+                int64_t dt, int64_t dq, QueryKind kind, bool smart,
+                Fnv1a* h) {
+  const NixParams nix;
+  auto choices = AdviseAccessPaths(db, sig, nix, dt, dq, kind, smart);
+  ASSERT_TRUE(choices.ok()) << choices.status().ToString();
+  h->Int(static_cast<int64_t>(choices->size()));
+  for (const AccessPathChoice& c : *choices) {
+    h->String(c.facility);
+    h->String(c.strategy);
+    h->Int(c.param);
+    h->Double(c.cost_pages);
+    const CostBreakdown bd =
+        BreakdownForChoice(db, sig, nix, dt, dq, kind, c);
+    for (double field : {bd.candidate_selection, bd.oid_lookup, bd.resolution,
+                         bd.expected_candidates, bd.expected_false_drops}) {
+      h->Double(field);
+    }
+  }
+}
+
+// Pins every advised plan and cost bit for bit across the model's corners:
+// all six kinds, Dq 1-64 and 100-400, smart on and off, two domains, four
+// target cardinalities and N at the page-count edges (O_d = 512 OIDs per
+// page, P·b = 32,768 bits per slice page); then 300 consecutive N around
+// the Table-2 database, which is how a live store's statistics move.
+TEST(AdvisorPinTest, PlansAndCostsAreBitIdentical) {
+  const SignatureParams sig{250, 2};
+  std::vector<int64_t> dqs;
+  for (int64_t dq = 1; dq <= 64; ++dq) dqs.push_back(dq);
+  for (int64_t dq : {100, 200, 399, 400}) dqs.push_back(dq);
+  Fnv1a h;
+  for (int64_t v : {500, 13000}) {
+    for (int64_t dt : {1, 4, 5, 10}) {
+      for (int64_t n :
+           {1, 2, 511, 512, 513, 32767, 32768, 32769, 100000}) {
+        DatabaseParams db;
+        db.n = n;
+        db.v = v;
+        for (QueryKind kind :
+             {QueryKind::kSuperset, QueryKind::kSubset,
+              QueryKind::kProperSuperset, QueryKind::kProperSubset,
+              QueryKind::kEquals, QueryKind::kOverlaps}) {
+          for (int64_t dq : dqs) {
+            for (bool smart : {false, true}) {
+              HashAdvice(db, sig, dt, dq, kind, smart, &h);
+            }
+          }
+        }
+      }
+    }
+  }
+  for (int64_t n = 31850; n < 32150; ++n) {
+    DatabaseParams db;
+    db.n = n;
+    for (QueryKind kind : {QueryKind::kSuperset, QueryKind::kSubset}) {
+      for (int64_t dq : {1, 2, 3, 20, 200}) {
+        HashAdvice(db, sig, 10, dq, kind, /*smart=*/true, &h);
+      }
+    }
+  }
+  EXPECT_EQ(h.hash(), 0x0bc5089abb472301ull) << std::hex << h.hash();
 }
 
 // --- set-containment join strategies ---------------------------------------

@@ -14,6 +14,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "db/database.h"
 #include "db/set_index.h"
 #include "db/snapshot.h"
+#include "db/synchronized_set_index.h"
 #include "db/write_batch.h"
 #include "json_validate.h"
 #include "storage/fault_injecting_page_file.h"
@@ -306,6 +309,192 @@ TEST(TelemetryTest, DriftWatchdogRaisesStructuredWarning) {
     }
   }
   EXPECT_TRUE(found_warning_event);
+}
+
+// A trace with one top-level stage per (name, measured pages, predicted
+// pages) and the whole plan's prediction.
+QueryTrace MakeTrace(
+    const std::string& plan,
+    const std::vector<std::tuple<const char*, uint64_t, double>>& stages,
+    double predicted_total) {
+  QueryTrace trace;
+  trace.plan = plan;
+  for (const auto& [name, measured, predicted] : stages) {
+    TraceSpan* span = trace.AddStage(name);
+    span->page_reads = measured;
+    span->predicted_pages = predicted;
+  }
+  trace.predicted_total = predicted_total;
+  return trace;
+}
+
+// Pins the watchdog's exports for a fixed trace sequence over two
+// facilities: every drift.* gauge, Stats() in key order, and the rising
+// edges (one stage leaves its bounds, returns, and leaves them again).
+TEST(DriftWatchdogPinTest, GaugesStatsAndRisingEdgesAreExact) {
+  MetricsRegistry registry;
+  FlightRecorder recorder(64);
+  DriftOptions options;
+  options.rel_tolerance = 0.5;
+  options.abs_tolerance_pages = 4.0;
+  options.min_samples = 2;
+  DriftWatchdog watchdog(&registry, &recorder, options);
+
+  const QueryTrace bssf_near = MakeTrace(
+      "bssf smart(k=2)",
+      {{"candidate selection", 10, 10.0},
+       {"oid lookup", 2, 1.5},
+       {"resolution", 4, 4.5}},
+      16.0);
+  const QueryTrace bssf_far = MakeTrace(
+      "bssf smart(k=2)",
+      {{"candidate selection", 40, 10.0},
+       {"oid lookup", 2, 1.5},
+       {"resolution", 4, 4.5}},
+      16.0);
+  // A Database plan names its attribute; the unpredicted stage is skipped.
+  const QueryTrace nix_far = MakeTrace(
+      "tags via nix plain",
+      {{"candidate selection", 30, 6.0},
+       {"resolution", 1, 1.0},
+       {"join probe", 5, -1.0}},
+      7.0);
+  const QueryTrace unplanned =
+      MakeTrace("", {{"candidate selection", 9, 1.0}}, 1.0);
+
+  watchdog.ObserveTrace(bssf_near);
+  watchdog.ObserveTrace(nix_far);
+  watchdog.ObserveTrace(unplanned);
+  EXPECT_EQ(watchdog.warnings(), 0u);  // one sample each: below min_samples
+  watchdog.ObserveTrace(bssf_far);     // bssf.candidate_selection, bssf.total
+  watchdog.ObserveTrace(nix_far);      // nix.candidate_selection, nix.total
+  EXPECT_EQ(watchdog.warnings(), 4u);
+  // Near traces pull bssf.candidate_selection's mean |residual| of 30 pages
+  // over n samples under 4 pages at n = 8, which re-arms it; the far trace
+  // then raises it again.  bssf.total falls back inside at n = 4 (mean 7.5
+  // pages, relative 0.47).
+  for (int i = 0; i < 6; ++i) watchdog.ObserveTrace(bssf_near);
+  EXPECT_EQ(watchdog.warnings(), 4u);
+  watchdog.ObserveTrace(bssf_far);
+  EXPECT_EQ(watchdog.warnings(), 5u);
+  watchdog.Observe("nix.resolution", 3.0, 1.0);
+
+  struct Expected {
+    const char* key;
+    uint64_t samples;
+    double sum_measured, sum_predicted, sum_abs_residual;
+    bool warning;
+  };
+  const Expected expected[] = {
+      {"bssf.candidate_selection", 9, 150, 90, 60, true},
+      {"bssf.oid_lookup", 9, 18, 13.5, 4.5, false},
+      {"bssf.resolution", 9, 36, 40.5, 4.5, false},
+      {"bssf.total", 9, 204, 144, 60, false},
+      {"nix.candidate_selection", 2, 60, 12, 48, true},
+      {"nix.resolution", 3, 5, 3, 2, false},
+      {"nix.total", 2, 72, 14, 58, true},
+  };
+  const auto stats = watchdog.Stats();
+  ASSERT_EQ(stats.size(), std::size(expected));
+  for (size_t i = 0; i < stats.size(); ++i) {
+    const Expected& e = expected[i];
+    const DriftWatchdog::StageStats& got = stats[i].second;
+    EXPECT_EQ(stats[i].first, e.key);
+    EXPECT_EQ(got.samples, e.samples) << e.key;
+    EXPECT_EQ(got.sum_measured, e.sum_measured) << e.key;
+    EXPECT_EQ(got.sum_predicted, e.sum_predicted) << e.key;
+    EXPECT_EQ(got.sum_abs_residual, e.sum_abs_residual) << e.key;
+    EXPECT_EQ(got.warning, e.warning) << e.key;
+    const double mean_abs = e.sum_abs_residual / e.samples;
+    const double mean_pred = e.sum_predicted / e.samples;
+    const double mean_rel = mean_abs / (mean_pred < 1.0 ? 1.0 : mean_pred);
+    const std::string prefix = std::string("drift.") + e.key;
+    EXPECT_EQ(registry.GaugeValue(prefix + ".mean_abs_residual"), mean_abs)
+        << e.key;
+    EXPECT_EQ(registry.GaugeValue(prefix + ".mean_rel_residual"), mean_rel)
+        << e.key;
+    EXPECT_EQ(registry.GaugeValue(prefix + ".samples"),
+              static_cast<double>(e.samples))
+        << e.key;
+  }
+  size_t drift_gauges = 0;
+  for (const auto& gauge : registry.Snapshot().gauges) {
+    if (gauge.first.rfind("drift.", 0) == 0) ++drift_gauges;
+  }
+  EXPECT_EQ(drift_gauges, 3 * std::size(expected));
+  EXPECT_EQ(registry.CounterValue("drift.warnings"), 5u);
+
+  std::vector<std::string> details;
+  for (const FlightEvent& event : recorder.Events()) {
+    if (event.op == FlightOp::kDriftWarning) details.push_back(event.detail);
+  }
+  const std::vector<std::string> want = {
+      "bssf.candidate_selection abs=" + std::to_string(15.0),
+      "bssf.total abs=" + std::to_string(15.0),
+      "nix.candidate_selection abs=" + std::to_string(24.0),
+      "nix.total abs=" + std::to_string(29.0),
+      "bssf.candidate_selection abs=" + std::to_string(60.0 / 9),
+  };
+  EXPECT_EQ(details, want);
+}
+
+// Readers plan and feed the drift watchdog while a writer moves N under
+// them, so the plan memo and the watchdog are shared across threads
+// (tools/run_sanitizers.sh telemetry runs this under TSan).
+TEST(TelemetryConcurrencyTest, ReadersPlanAndObserveBesideAWriter) {
+  StorageManager storage;
+  SetIndex::Options options;
+  options.enable_telemetry = true;
+  auto created = SynchronizedSetIndex::Create(&storage, "idx", options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  SynchronizedSetIndex& index = **created;
+  const std::vector<ElementSet> sets = MakeSets(160);
+  std::vector<Oid> oids;
+  for (int i = 0; i < 80; ++i) {
+    auto oid = index.Insert(sets[i]);
+    ASSERT_TRUE(oid.ok());
+    oids.push_back(*oid);
+  }
+
+  constexpr int kReaders = 3;
+  constexpr int kQueriesPerReader = 120;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(kSeed + 10 + t);
+      for (int q = 0; q < kQueriesPerReader; ++q) {
+        const QueryKind kind = q % 3 == 0   ? QueryKind::kSubset
+                               : q % 3 == 1 ? QueryKind::kSuperset
+                                            : QueryKind::kOverlaps;
+        ElementSet query = rng.SampleWithoutReplacement(
+            kV, kind == QueryKind::kSubset ? 20 + q % 40 : 1 + q % 4);
+        if (!index.Query(kind, query).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  // One write per step: N moves by one between the readers' plans.
+  for (int i = 80; i < 160; ++i) {
+    auto oid = index.Insert(sets[i]);
+    ASSERT_TRUE(oid.ok());
+    if (i % 2 == 0) {
+      ASSERT_TRUE(index.Delete(oids[static_cast<size_t>(i - 80)]).ok());
+    }
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  SetIndex* idx = index.index();
+  EXPECT_EQ(idx->metrics()->CounterValue("query.count"),
+            static_cast<uint64_t>(kReaders * kQueriesPerReader));
+  // Overlap plans carry no stage predictions, so only the ⊆ and ⊇ queries
+  // reach the watchdog, each once under its facility's total.
+  uint64_t totals = 0;
+  for (const auto& [key, stats] : idx->drift_watchdog()->Stats()) {
+    if (key.size() > 6 && key.compare(key.size() - 6, 6, ".total") == 0) {
+      totals += stats.samples;
+    }
+  }
+  EXPECT_EQ(totals, static_cast<uint64_t>(kReaders * kQueriesPerReader * 2 / 3));
 }
 
 TEST(TelemetryTest, EpochPinsAndSnapshotQueriesSurfaceAsMetrics) {
