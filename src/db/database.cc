@@ -103,11 +103,10 @@ void Database::RecordEvent(FlightOp op, const Status& status,
 
 void Database::RecordOpTelemetry(FlightOp op, const char* metric,
                                  const TraceTimer& timer,
-                                 const IoStats& before, const Status& status,
+                                 const IoStats& delta, const Status& status,
                                  uint64_t fingerprint) {
   metrics_->histogram(metric)->Record(Micros(timer));
-  RecordEvent(op, status, storage_->TotalStats() - before, status.message(),
-              fingerprint);
+  RecordEvent(op, status, delta, status.message(), fingerprint);
   if (!status.ok() && IsFatalStatus(status)) NoteFatal(status);
 }
 
@@ -131,7 +130,8 @@ auto Database::Timed(FlightOp op, const char* metric, Fn&& body) {
   TraceTimer timer;
   const IoStats before = storage_->TotalStats();
   auto out = body();
-  RecordOpTelemetry(op, metric, timer, before, StatusOf(out));
+  RecordOpTelemetry(op, metric, timer, storage_->TotalStats() - before,
+                    StatusOf(out));
   return out;
 }
 
@@ -639,10 +639,11 @@ Status Database::RebuildFacilitiesFromStore() {
 // --- reads -----------------------------------------------------------------
 
 IoStats Database::ReadView::TotalStats() const {
-  if (storage != nullptr) return storage->TotalStats();
-  IoStats total = objects->stats();
-  for (const auto& attr : attrs) total += attr->PinnedStats();
-  return total;
+  // The files a read can touch: the object file and each attribute's
+  // current files, never the WAL, the manifest or superseded generations.
+  PageCounts total = store->stats().counts();
+  for (const auto& attr : attrs) total += attr->FileCounts();
+  return IoStats(total);
 }
 
 StatusOr<size_t> Database::ReadView::Find(const std::string& attribute) const {
@@ -653,8 +654,7 @@ StatusOr<size_t> Database::ReadView::Find(const std::string& attribute) const {
 }
 
 Database::ReadView Database::LiveView() const {
-  return ReadView{store_.get(), attrs_, storage_, /*objects=*/nullptr,
-                  execution_context(), metrics()};
+  return ReadView{store_.get(), attrs_, execution_context(), metrics()};
 }
 
 StatusOr<size_t> Database::AttributeIndex(const std::string& attribute) const {
@@ -709,7 +709,7 @@ Status Database::RunSelection(const ReadView& view, Selection* sel,
     trace->kind = QueryKindName(driver.kind);
     trace->dq = dq;
   }
-  const IoStats before = view.TotalStats();
+  sel->before = view.TotalStats();
   // Plan only returns maintained facilities.
   SIGSET_ASSIGN_OR_RETURN(
       CandidateResult candidates,
@@ -723,16 +723,16 @@ Status Database::RunSelection(const ReadView& view, Selection* sel,
   out.oids = std::move(resolved.oids);
   out.num_candidates = resolved.num_candidates;
   out.num_false_drops = resolved.num_false_drops;
-  sel->io = view.TotalStats() - before;
+  sel->io = view.TotalStats() - sel->before;
   out.page_accesses = sel->io.total();
   if (trace == nullptr) return Status::OK();
   // The model's per-stage predictions for the driver predicate: candidate
   // selection is priced exactly; the resolution prediction assumes the
   // driver alone (other conjuncts are checked on the fetched object).
-  const IndexedAttribute::Model model =
-      attr.ModelFor(view.store->num_objects());
-  const CostBreakdown bd = BreakdownForChoice(
-      model.db, model.sig, model.nix, model.dt, dq, driver.kind, sel->plan);
+  // A kAuto plan's breakdown reads the terms Plan priced it from.
+  const CostBreakdown bd =
+      attr.Breakdown(driver.kind, dq,
+                     attr.ModelFor(view.store->num_objects()), sel->plan);
   if (bd.total() <= 0) return Status::OK();
   trace->predicted_total = bd.total();
   for (TraceSpan& stage : trace->mutable_stages()) {
@@ -770,16 +770,14 @@ StatusOr<Database::Selection> Database::Select(
                                        driver.query);
   };
   TraceTimer timer;  // feeds the latency histogram (metrics, not tracing)
-  const IoStats before =
-      recorder_ != nullptr ? storage_->TotalStats() : IoStats{};
   Status ran = RunSelection(view, &sel, trace);
   if (!ran.ok()) {
     // Failed queries never reach the success bookkeeping below; hand the
     // failure to the flight recorder (and, for fatal statuses, the
     // postmortem) before propagating it.
     if (recorder_ != nullptr) {
-      RecordOpTelemetry(FlightOp::kQuery, "query.latency_us", timer, before,
-                        ran, fingerprint());
+      RecordOpTelemetry(FlightOp::kQuery, "query.latency_us", timer,
+                        view.TotalStats() - sel.before, ran, fingerprint());
     }
     return ran;
   }
@@ -902,8 +900,7 @@ StatusOr<DatabaseJoinResult> Database::RunJoin(const ReadView& r,
     return QueryResult{std::move(sel.result.oids), sel.result.num_candidates,
                        sel.result.num_false_drops};
   };
-  const bool shared =
-      r.storage != nullptr ? r.storage == s.storage : r.objects == s.objects;
+  const bool shared = r.store == s.store;
   const std::function<IoStats()> totals = [&r, &s, shared]() {
     IoStats total = r.TotalStats();
     if (!shared) total += s.TotalStats();
@@ -967,8 +964,8 @@ StatusOr<DatabaseJoinResult> Database::Join(size_t r_attr, Database* s_db,
       RunJoin(LiveView(), r_attr, s_db->LiveView(), s_attr, spec, trace, &io);
   if (!ran.ok()) {
     if (recorder_ != nullptr) {
-      RecordOpTelemetry(FlightOp::kJoin, "join.latency_us", timer, before,
-                        ran.status());
+      RecordOpTelemetry(FlightOp::kJoin, "join.latency_us", timer,
+                        storage_->TotalStats() - before, ran.status());
     }
     return ran.status();
   }

@@ -261,32 +261,33 @@ class Database {
   friend class SetIndex;
   friend class Snapshot;
 
-  // What one read runs over: an object store, its attributes, the counters
-  // the read charges and how it executes.  Live reads use the engine's
-  // files and charge the storage manager; pinned reads use one epoch's
-  // adapters (serial, pure-model planning, their own counters).
+  // What one read runs over: an object store, its attributes and how it
+  // executes.  Live reads use the engine's files; pinned reads use one
+  // epoch's adapters (serial, pure-model planning, their own counters).
   struct ReadView {
     const MultiObjectStore* store = nullptr;
     std::span<const std::unique_ptr<IndexedAttribute>> attrs;
-    StorageManager* storage = nullptr;       // live
-    const EpochReadView* objects = nullptr;  // pinned
     const ParallelExecutionContext* ctx = nullptr;
     const MetricsRegistry* feedback = nullptr;
 
+    // The counters of the files the view reads (the object file and each
+    // attribute's current files); a read's pages are their delta.
     IoStats TotalStats() const;
     // Index of `attribute`, or kNotFound.
     StatusOr<size_t> Find(const std::string& attribute) const;
   };
 
   // A planned conjunction: normalized predicates, their attribute indexes
-  // and the driver predicate's access path.  RunSelection fills `result`
-  // and `io` (the read's counter delta).
+  // and the driver predicate's access path.  RunSelection fills `before`
+  // (the view's counters as the read starts), `result` and `io` (the
+  // read's counter delta).
   struct Selection {
     std::vector<SetPredicate> preds;
     std::vector<size_t> attrs;
     size_t driver = 0;
     AccessPathChoice plan;
     DatabaseQueryResult result;
+    IoStats before;
     IoStats io;
   };
 
@@ -342,7 +343,7 @@ class Database {
   void RecordEvent(FlightOp op, const Status& status, const IoStats& delta,
                    const std::string& detail, uint64_t fingerprint = 0);
   void RecordOpTelemetry(FlightOp op, const char* metric,
-                         const TraceTimer& timer, const IoStats& before,
+                         const TraceTimer& timer, const IoStats& delta,
                          const Status& status, uint64_t fingerprint = 0);
   void NoteFatal(const Status& cause);
 

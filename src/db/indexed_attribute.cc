@@ -87,6 +87,7 @@ StatusOr<std::unique_ptr<IndexedAttribute>> IndexedAttribute::Pin(
         std::make_unique<EpochReadView>(published.files[f], epoch);
     files[f] = attr->views_[f].get();
   }
+  attr->files_ = files;
   const SignatureConfig& sig = published.spec.sig;
   if (published.spec.maintain_ssf) {
     SIGSET_ASSIGN_OR_RETURN(attr->ssf_,
@@ -187,6 +188,7 @@ Status IndexedAttribute::Open(uint64_t generation,
   Files files{};
   SIGSET_RETURN_IF_ERROR(
       OpenFiles(generation, /*with_nix=*/true, &files, &versions_));
+  files_ = files;
   if (values == nullptr) {
     SIGSET_RETURN_IF_ERROR(CreateEmpty(files));
   } else {
@@ -273,6 +275,7 @@ Status IndexedAttribute::Compact(uint64_t generation) {
   next_versions_ = {};
   SIGSET_RETURN_IF_ERROR(
       OpenFiles(generation, /*with_nix=*/false, &files, &next_versions_));
+  next_files_ = files;
   // CompactTo is retryable: it overwrites from page 0, so a half-written
   // target left by an earlier crashed compaction is simply rewritten.
   uint64_t ssf_live = 0, bssf_live = 0;
@@ -302,6 +305,7 @@ std::vector<VersionedPageFile*> IndexedAttribute::CommitCompaction() {
       superseded.push_back(versions_[f]);
     }
     versions_[f] = next_versions_[f];
+    files_[f] = next_files_[f];
   }
   Configure();
   return superseded;
@@ -354,6 +358,7 @@ Status IndexedAttribute::Rebuild(uint64_t generation,
     // ascending physical-OID order.
     SIGSET_ASSIGN_OR_RETURN(
         PageFile * file, open_(prefix_ + kFileSuffix[kNix], &versions_[kNix]));
+    files_[kNix] = file;
     SIGSET_ASSIGN_OR_RETURN(
         nix_, NestedIndex::CreateResetting(file, spec_.nix_fanout));
     SIGSET_RETURN_IF_ERROR(nix_->BulkBuild(oids, sets));
@@ -440,22 +445,57 @@ StatusOr<AccessPathChoice> IndexedAttribute::Plan(
     // these plans bypass the memo.
     return Advise(kind, dq, model, AdvisorFeedback::FromRegistry(*feedback));
   }
-  const uint64_t key = static_cast<uint64_t>(CandidateKind(kind)) << 56 |
+  if (dq < 1) return Status::InvalidArgument("Dq must be >= 1");
+  const QueryKind candidate_kind = CandidateKind(kind);
+  const uint64_t key = static_cast<uint64_t>(candidate_kind) << 56 |
                        static_cast<uint64_t>(dq);
   std::lock_guard<std::mutex> lock(memo_.mu);
-  if (memo_.n != model.db.n || memo_.v != model.db.v ||
-      memo_.dt != model.dt) {
-    memo_.plans.clear();
-    memo_.n = model.db.n;
+  if (memo_.v != model.db.v || memo_.dt != model.dt) {
+    if (memo_.dt != model.dt) memo_.partial.clear();
+    memo_.entries.clear();
     memo_.v = model.db.v;
     memo_.dt = model.dt;
-  } else if (auto hit = memo_.plans.find(key); hit != memo_.plans.end()) {
-    return hit->second;
   }
-  SIGSET_ASSIGN_OR_RETURN(AccessPathChoice choice,
-                          Advise(kind, dq, model, AdvisorFeedback{}));
-  memo_.plans.emplace(key, choice);
-  return choice;
+  auto [it, added] = memo_.entries.try_emplace(key);
+  PlanMemo::Entry& entry = it->second;
+  if (!added && entry.n == model.db.n) return entry.plan;
+  if (added) {
+    entry.terms =
+        MakeQueryTerms(model.sig, model.db.v, model.dt, candidate_kind, dq);
+  }
+  if (candidate_kind == QueryKind::kSubset && memo_.partial.empty()) {
+    memo_.partial = PartialScanTable(model.sig, model.dt);
+  }
+  const std::array<SetAccessFacility*, 3> facilities = Facilities();
+  for (const PricedPath& path :
+       RankAccessPaths(entry.terms, memo_.partial, model.db, model.sig,
+                       model.nix, model.dt, /*allow_smart=*/true)) {
+    if (facilities[static_cast<size_t>(path.facility)] == nullptr) continue;
+    entry.n = model.db.n;
+    entry.plan = ChoiceFor(path, candidate_kind);
+    return entry.plan;
+  }
+  memo_.entries.erase(it);
+  return Status::Internal("no maintained facility matched the plan");
+}
+
+CostBreakdown IndexedAttribute::Breakdown(QueryKind kind, int64_t dq,
+                                          const Model& model,
+                                          const AccessPathChoice& plan) const {
+  const uint64_t key = static_cast<uint64_t>(CandidateKind(kind)) << 56 |
+                       static_cast<uint64_t>(dq);
+  {
+    std::lock_guard<std::mutex> lock(memo_.mu);
+    if (memo_.v == model.db.v && memo_.dt == model.dt) {
+      if (auto hit = memo_.entries.find(key); hit != memo_.entries.end()) {
+        return BreakdownFromTerms(hit->second.terms, memo_.partial, model.db,
+                                  model.sig, model.nix, model.dt, plan);
+      }
+    }
+  }
+  // Forced and feedback plans never enter the memo.
+  return BreakdownForChoice(model.db, model.sig, model.nix, model.dt, dq,
+                            kind, plan);
 }
 
 StatusOr<AccessPathChoice> IndexedAttribute::Advise(
@@ -471,10 +511,10 @@ StatusOr<AccessPathChoice> IndexedAttribute::Advise(
   return Status::Internal("no maintained facility matched the plan");
 }
 
-IoStats IndexedAttribute::PinnedStats() const {
-  IoStats total;
-  for (const std::unique_ptr<EpochReadView>& view : views_) {
-    if (view != nullptr) total += view->stats();
+PageCounts IndexedAttribute::FileCounts() const {
+  PageCounts total;
+  for (const PageFile* file : files_) {
+    if (file != nullptr) total += file->stats().counts();
   }
   return total;
 }

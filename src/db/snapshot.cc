@@ -39,8 +39,7 @@ Database::ReadView DatabaseSnapshot::View() const {
   // Serial (one snapshot, one reader thread) and pure-model planning: the
   // plan depends only on published state, so identical epochs plan
   // identically regardless of what other readers have observed since.
-  return Database::ReadView{store_.get(), attrs_, /*storage=*/nullptr,
-                            objects_view_.get()};
+  return Database::ReadView{store_.get(), attrs_};
 }
 
 void DatabaseSnapshot::Record(const std::string& series, FlightOp op,

@@ -1,119 +1,55 @@
 #include "model/cost_breakdown.h"
 
-#include <algorithm>
-
 #include "model/actual_drops.h"
-#include "model/cost_bssf.h"
 #include "model/cost_nix.h"
 #include "model/cost_ssf.h"
+#include "model/cost_terms.h"
 #include "model/false_drop.h"
 
 namespace sigsetdb {
 
-namespace {
-
-// Shared tail of the signature-file formulas: LC_OID plus the resolution
-// charges, given the false-drop probability `fd` of the candidate filter
-// and the final predicate's actual drops `a_final` (candidates that are
-// true answers never count as false drops, even under a smart filter run
-// at reduced cardinality).
-void FillSignatureTail(const DatabaseParams& db, double fd, double a_filter,
-                       double a_final, CostBreakdown* out) {
-  double n = static_cast<double>(db.n);
-  out->oid_lookup = OidLookupCost(db, fd, a_filter);
-  out->resolution = db.p_s * a_filter + db.p_u * fd * (n - a_filter);
-  out->expected_candidates = a_filter + fd * (n - a_filter);
-  out->expected_false_drops =
-      std::max(0.0, out->expected_candidates - a_final);
-}
-
-}  // namespace
-
 CostBreakdown SsfBreakdown(const DatabaseParams& db,
                            const SignatureParams& sig, int64_t dt, int64_t dq,
                            QueryKind kind) {
-  CostBreakdown out;
-  out.candidate_selection =
-      static_cast<double>(SsfSignaturePages(db, sig));
-  double fd = kind == QueryKind::kSuperset ? FalseDropSuperset(sig, dt, dq)
-                                           : FalseDropSubset(sig, dt, dq);
-  double a = kind == QueryKind::kSuperset ? ActualDropsSuperset(db, dt, dq)
-                                          : ActualDropsSubset(db, dt, dq);
-  FillSignatureTail(db, fd, a, a, &out);
-  return out;
+  return SsfBreakdownOf(MakePageTerms(db),
+                        static_cast<double>(SsfSignaturePages(db, sig)),
+                        kind == QueryKind::kSuperset
+                            ? SupersetFilter(sig, db.v, dt, dq)
+                            : SubsetFilter(sig, db.v, dt, dq));
 }
 
 CostBreakdown BssfSupersetBreakdown(const DatabaseParams& db,
                                     const SignatureParams& sig, int64_t dt,
                                     int64_t dq, int64_t k) {
-  CostBreakdown out;
-  // A k-element filter prices exactly like the plain strategy at query
-  // cardinality k (the remaining Dq−k elements are checked during
-  // resolution at no I/O cost) — see BssfSmartSupersetCost.
-  double m_q = ExpectedSignatureWeight(sig, k);
-  out.candidate_selection = static_cast<double>(BssfSlicePages(db)) * m_q;
-  double fd = FalseDropSuperset(sig, dt, k);
-  FillSignatureTail(db, fd, ActualDropsSuperset(db, dt, k),
-                    ActualDropsSuperset(db, dt, dq), &out);
-  return out;
+  return BssfSupersetBreakdownOf(MakePageTerms(db),
+                                 SupersetFilter(sig, db.v, dt, k),
+                                 SupersetDropRatio(db.v, dt, dq));
 }
 
 CostBreakdown BssfSubsetBreakdown(const DatabaseParams& db,
                                   const SignatureParams& sig, int64_t dt,
                                   int64_t dq, int64_t s) {
-  CostBreakdown out;
-  double spp = static_cast<double>(BssfSlicePages(db));
-  double fd;
-  if (s < 0) {
-    double m_q = ExpectedSignatureWeight(sig, dq);
-    out.candidate_selection = spp * (static_cast<double>(sig.f) - m_q);
-    fd = FalseDropSubset(sig, dt, dq);
-  } else {
-    out.candidate_selection = spp * static_cast<double>(s);
-    fd = FalseDropSubsetPartial(sig, dt, static_cast<double>(s));
-  }
-  double a = ActualDropsSubset(db, dt, dq);
-  FillSignatureTail(db, fd, a, a, &out);
-  if (s >= 0) {
-    // BssfSmartSubsetCost floors the partial-scan cost at the plain eq. 8
-    // cost (the full scan is always available as a fallback, and the
-    // partial-scan false-drop approximation overshoots slightly near
-    // s = F − m_q).  Mirror the floor so totals match the advised cost.
-    CostBreakdown plain = BssfSubsetBreakdown(db, sig, dt, dq, -1);
-    if (plain.total() <= out.total()) return plain;
-  }
-  return out;
+  return BssfSubsetBreakdownOf(
+      MakePageTerms(db), static_cast<double>(sig.f),
+      SubsetFilter(sig, db.v, dt, dq), s,
+      s < 0 ? 0.0
+            : FalseDropSubsetPartial(sig, dt, static_cast<double>(s)));
 }
 
 CostBreakdown NixSupersetBreakdown(const DatabaseParams& db,
                                    const NixParams& nix, int64_t dt,
                                    int64_t dq, int64_t k) {
-  CostBreakdown out;
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  out.candidate_selection = rc * static_cast<double>(k);
-  // The k-way postings intersection is exact at cardinality k; every
-  // candidate is fetched once (P_s each — qualifying objects are returned
-  // to the user either way).
-  double candidates = ActualDropsSuperset(db, dt, k);
-  out.resolution = db.p_s * candidates;
-  out.expected_candidates = candidates;
-  out.expected_false_drops =
-      std::max(0.0, candidates - ActualDropsSuperset(db, dt, dq));
-  return out;
+  return NixSupersetBreakdownOf(
+      MakePageTerms(db), static_cast<double>(NixLookupCost(db, nix, dt)), k,
+      SupersetDropRatio(db.v, dt, k), SupersetDropRatio(db.v, dt, dq));
 }
 
 CostBreakdown NixSubsetBreakdown(const DatabaseParams& db,
                                  const NixParams& nix, int64_t dt,
                                  int64_t dq) {
-  CostBreakdown out;
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  out.candidate_selection = rc * static_cast<double>(dq);
-  double failing = NixSubsetFailingCandidates(db, dt, dq);
-  double a = ActualDropsSubset(db, dt, dq);
-  out.resolution = db.p_u * failing + db.p_s * a;
-  out.expected_candidates = failing + a;
-  out.expected_false_drops = failing;
-  return out;
+  return NixSubsetBreakdownOf(
+      MakePageTerms(db), static_cast<double>(NixLookupCost(db, nix, dt)), dq,
+      NixSubsetFailingRatio(db.v, dt, dq), SubsetDropRatio(db.v, dt, dq));
 }
 
 }  // namespace sigsetdb

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "model/actual_drops.h"
-#include "model/cost_ssf.h"
+#include "model/cost_terms.h"
 #include "model/false_drop.h"
 
 namespace sigsetdb {
@@ -16,24 +15,15 @@ int64_t BssfSlicePages(const DatabaseParams& db) {
 double BssfRetrievalSuperset(const DatabaseParams& db,
                              const SignatureParams& sig, int64_t dt,
                              int64_t dq) {
-  double m_q = ExpectedSignatureWeight(sig, dq);
-  double fd = FalseDropSuperset(sig, dt, dq);
-  double a = ActualDropsSuperset(db, dt, dq);
-  double n = static_cast<double>(db.n);
-  return static_cast<double>(BssfSlicePages(db)) * m_q +
-         OidLookupCost(db, fd, a) + db.p_s * a + db.p_u * fd * (n - a);
+  return PriceBssfSuperset(MakePageTerms(db),
+                           SupersetFilter(sig, db.v, dt, dq));
 }
 
 double BssfRetrievalSubset(const DatabaseParams& db,
                            const SignatureParams& sig, int64_t dt,
                            int64_t dq) {
-  double m_q = ExpectedSignatureWeight(sig, dq);
-  double fd = FalseDropSubset(sig, dt, dq);
-  double a = ActualDropsSubset(db, dt, dq);
-  double n = static_cast<double>(db.n);
-  return static_cast<double>(BssfSlicePages(db)) *
-             (static_cast<double>(sig.f) - m_q) +
-         OidLookupCost(db, fd, a) + db.p_s * a + db.p_u * fd * (n - a);
+  return PriceBssfSubset(MakePageTerms(db), static_cast<double>(sig.f),
+                         SubsetFilter(sig, db.v, dt, dq));
 }
 
 namespace {
@@ -87,49 +77,27 @@ double BssfExpectedSubsetSkippedPages(const DatabaseParams& db,
 double BssfSmartSupersetCost(const DatabaseParams& db,
                              const SignatureParams& sig, int64_t dt,
                              int64_t dq, int64_t* best_k) {
-  double best = BssfRetrievalSuperset(db, sig, dt, dq);
-  int64_t arg = dq;
-  for (int64_t k = 1; k < dq; ++k) {
-    // Using k elements is equivalent to running the plain strategy for a
-    // query of cardinality k: candidates = A(k) + Fd(k)·(N − A(k)) and all
-    // of them are fetched once (the full Dq-element check happens on the
-    // fetched object at no extra I/O).
-    double cost = BssfRetrievalSuperset(db, sig, dt, k);
-    if (cost < best) {
-      best = cost;
-      arg = k;
-    }
-  }
-  if (best_k != nullptr) *best_k = arg;
-  return best;
+  int64_t k = dq;
+  const double cost =
+      dq < 1 ? BssfRetrievalSuperset(db, sig, dt, dq)
+             : PriceBssfSmartSuperset(
+                   MakePageTerms(db),
+                   MakeQueryTerms(sig, db.v, dt, QueryKind::kSuperset, dq)
+                       .filters,
+                   &k);
+  if (best_k != nullptr) *best_k = k;
+  return cost;
 }
 
 double BssfSmartSubsetCost(const DatabaseParams& db,
                            const SignatureParams& sig, int64_t dt, int64_t dq,
                            int64_t* best_s) {
-  double m_q = ExpectedSignatureWeight(sig, dq);
-  int64_t max_s = static_cast<int64_t>(
-      std::floor(static_cast<double>(sig.f) - m_q));
-  double a = ActualDropsSubset(db, dt, dq);
-  double n = static_cast<double>(db.n);
-  double spp = static_cast<double>(BssfSlicePages(db));
-  // The plain strategy (scan every zero slice, eq. 8) is always available
-  // as a fallback, so the smart cost can never exceed it; starting from it
-  // also irons out the tiny mismatch between the partial-scan false-drop
-  // approximation at s = F − m_q and eq. 6.
-  double best = BssfRetrievalSubset(db, sig, dt, dq);
-  int64_t arg = max_s;
-  for (int64_t s = 0; s <= max_s; ++s) {
-    double fd = FalseDropSubsetPartial(sig, dt, static_cast<double>(s));
-    double cost = spp * static_cast<double>(s) + OidLookupCost(db, fd, a) +
-                  db.p_s * a + db.p_u * fd * (n - a);
-    if (cost < best) {
-      best = cost;
-      arg = s;
-    }
-  }
-  if (best_s != nullptr) *best_s = arg;
-  return best;
+  int64_t s = 0;
+  const double cost = PriceBssfSmartSubset(
+      MakePageTerms(db), static_cast<double>(sig.f),
+      SubsetFilter(sig, db.v, dt, dq), PartialScanTable(sig, dt), &s);
+  if (best_s != nullptr) *best_s = s;
+  return cost;
 }
 
 double BssfDqOpt(const DatabaseParams& db, const SignatureParams& sig,

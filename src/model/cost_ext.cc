@@ -3,32 +3,16 @@
 #include <cmath>
 
 #include "model/actual_drops.h"
-#include "model/cost_bssf.h"
 #include "model/cost_nix.h"
 #include "model/cost_ssf.h"
+#include "model/cost_terms.h"
 #include "model/false_drop.h"
 
 namespace sigsetdb {
 
-namespace {
-
-double BitOneProb(const SignatureParams& sig, int64_t d) {
-  return 1.0 - std::pow(1.0 - static_cast<double>(sig.m) /
-                                  static_cast<double>(sig.f),
-                        static_cast<double>(d));
-}
-
-// Shared resolution-cost tail: OID look-up plus object fetches.
-double ResolutionCost(const DatabaseParams& db, double fd, double a) {
-  return OidLookupCost(db, fd, a) + db.p_s * a +
-         db.p_u * fd * (static_cast<double>(db.n) - a);
-}
-
-}  // namespace
-
 double FalseDropEquals(const SignatureParams& sig, int64_t dt, int64_t dq) {
-  double p_t = BitOneProb(sig, dt);
-  double p_q = BitOneProb(sig, dq);
+  double p_t = BitSetProbability(sig, dt);
+  double p_q = BitSetProbability(sig, dq);
   double agree = p_t * p_q + (1.0 - p_t) * (1.0 - p_q);
   return std::pow(agree, static_cast<double>(sig.f));
 }
@@ -40,57 +24,48 @@ double FalseDropOverlap(const SignatureParams& sig, int64_t dt, int64_t dq) {
 
 double SsfRetrievalEquals(const DatabaseParams& db, const SignatureParams& sig,
                           int64_t dt, int64_t dq) {
-  double fd = FalseDropEquals(sig, dt, dq);
-  double a = ActualDropsEquals(db, dt, dq);
-  return static_cast<double>(SsfSignaturePages(db, sig)) +
-         ResolutionCost(db, fd, a);
+  return PriceSsfExt(MakePageTerms(db),
+                     static_cast<double>(SsfSignaturePages(db, sig)),
+                     EqualsFilter(sig, db.v, dt, dq));
 }
 
 double BssfRetrievalEquals(const DatabaseParams& db,
                            const SignatureParams& sig, int64_t dt,
                            int64_t dq) {
-  double fd = FalseDropEquals(sig, dt, dq);
-  double a = ActualDropsEquals(db, dt, dq);
-  return static_cast<double>(BssfSlicePages(db)) *
-             static_cast<double>(sig.f) +
-         ResolutionCost(db, fd, a);
+  return PriceBssfEquals(MakePageTerms(db), static_cast<double>(sig.f),
+                         EqualsFilter(sig, db.v, dt, dq));
 }
 
 double NixRetrievalEquals(const DatabaseParams& db, const NixParams& nix,
                           int64_t dt, int64_t dq) {
   // Intersection of all Dq postings (as for ⊇), then a cardinality check
   // against the fetched object.
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  double candidates = ActualDropsSuperset(db, dt, dq);
-  return rc * static_cast<double>(dq) + db.p_s * candidates;
+  return PriceNix(MakePageTerms(db),
+                  static_cast<double>(NixLookupCost(db, nix, dt)), dq,
+                  SupersetDropRatio(db.v, dt, dq));
 }
 
 double SsfRetrievalOverlap(const DatabaseParams& db,
                            const SignatureParams& sig, int64_t dt,
                            int64_t dq) {
-  double fd = FalseDropOverlap(sig, dt, dq);
-  double a = ActualDropsOverlap(db, dt, dq);
-  return static_cast<double>(SsfSignaturePages(db, sig)) +
-         ResolutionCost(db, fd, a);
+  return PriceSsfExt(MakePageTerms(db),
+                     static_cast<double>(SsfSignaturePages(db, sig)),
+                     OverlapFilter(sig, db.v, dt, dq));
 }
 
 double BssfRetrievalOverlap(const DatabaseParams& db,
                             const SignatureParams& sig, int64_t dt,
                             int64_t dq) {
-  double fd = FalseDropOverlap(sig, dt, dq);
-  double a = ActualDropsOverlap(db, dt, dq);
-  // One m-slice membership filter per query element.
-  return static_cast<double>(BssfSlicePages(db)) *
-             static_cast<double>(sig.m) * static_cast<double>(dq) +
-         ResolutionCost(db, fd, a);
+  return PriceBssfOverlap(MakePageTerms(db), static_cast<double>(sig.m), dq,
+                          OverlapFilter(sig, db.v, dt, dq));
 }
 
 double NixRetrievalOverlap(const DatabaseParams& db, const NixParams& nix,
                            int64_t dt, int64_t dq) {
   // Union of postings is the exact answer: rc·Dq look-ups + A fetches.
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  return rc * static_cast<double>(dq) +
-         db.p_s * ActualDropsOverlap(db, dt, dq);
+  return PriceNix(MakePageTerms(db),
+                  static_cast<double>(NixLookupCost(db, nix, dt)), dq,
+                  OverlapDropRatio(db.v, dt, dq));
 }
 
 }  // namespace sigsetdb

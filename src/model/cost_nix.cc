@@ -1,9 +1,11 @@
 #include "model/cost_nix.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <vector>
 
 #include "model/actual_drops.h"
+#include "model/cost_terms.h"
 
 namespace sigsetdb {
 
@@ -56,37 +58,33 @@ int64_t NixLookupCost(const DatabaseParams& db, const NixParams& nix,
 
 double NixRetrievalSuperset(const DatabaseParams& db, const NixParams& nix,
                             int64_t dt, int64_t dq) {
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  return rc * static_cast<double>(dq) +
-         db.p_s * ActualDropsSuperset(db, dt, dq);
+  return PriceNix(MakePageTerms(db),
+                  static_cast<double>(NixLookupCost(db, nix, dt)), dq,
+                  SupersetDropRatio(db.v, dt, dq));
 }
 
 double NixRetrievalSubset(const DatabaseParams& db, const NixParams& nix,
                           int64_t dt, int64_t dq) {
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  return rc * static_cast<double>(dq) +
-         db.p_u * NixSubsetFailingCandidates(db, dt, dq) +
-         db.p_s * ActualDropsSubset(db, dt, dq);
+  return PriceNixSubset(MakePageTerms(db),
+                        static_cast<double>(NixLookupCost(db, nix, dt)), dq,
+                        NixSubsetFailingRatio(db.v, dt, dq),
+                        SubsetDropRatio(db.v, dt, dq));
 }
 
 double NixSmartSupersetCost(const DatabaseParams& db, const NixParams& nix,
                             int64_t dt, int64_t dq, int64_t* best_k) {
-  double rc = static_cast<double>(NixLookupCost(db, nix, dt));
-  double best = std::numeric_limits<double>::infinity();
-  int64_t arg = dq;
+  // Only the drop ratios matter: NIX's intersection is exact.
+  std::vector<FilterTerms> filters(static_cast<size_t>(std::max<int64_t>(dq, 0)));
   for (int64_t k = 1; k <= dq; ++k) {
-    // Intersecting k postings yields A(k) candidates (objects containing
-    // the k chosen query elements); each is fetched once and, for k < Dq,
-    // re-checked against the remaining elements during resolution.
-    double candidates = ActualDropsSuperset(db, dt, k);
-    double cost = rc * static_cast<double>(k) + db.p_s * candidates;
-    if (cost < best) {
-      best = cost;
-      arg = k;
-    }
+    filters[static_cast<size_t>(k - 1)].drop_ratio =
+        SupersetDropRatio(db.v, dt, k);
   }
-  if (best_k != nullptr) *best_k = arg;
-  return best;
+  int64_t k = dq;
+  const double cost = PriceNixSmartSuperset(
+      MakePageTerms(db), static_cast<double>(NixLookupCost(db, nix, dt)),
+      filters, &k);
+  if (best_k != nullptr) *best_k = k;
+  return cost;
 }
 
 int64_t NixStorageCost(const DatabaseParams& db, const NixParams& nix,

@@ -1,9 +1,6 @@
 #include "model/cost_ssf.h"
 
-#include <algorithm>
-
-#include "model/actual_drops.h"
-#include "model/false_drop.h"
+#include "model/cost_terms.h"
 
 namespace sigsetdb {
 
@@ -14,23 +11,17 @@ int64_t SsfSignaturePages(const DatabaseParams& db,
 }
 
 double OidLookupCost(const DatabaseParams& db, double fd, double a) {
-  double sc_oid = static_cast<double>(db.OidFilePages());
-  double alpha = a / sc_oid;  // actual drops per OID-file page
-  double per_page =
-      std::min(fd * (static_cast<double>(db.OidsPerPage()) - alpha) + alpha,
-               1.0);
-  return sc_oid * per_page;
+  return OidLookup(static_cast<double>(db.OidFilePages()),
+                   static_cast<double>(db.OidsPerPage()), fd, a);
 }
 
 double SsfRetrievalCost(const DatabaseParams& db, const SignatureParams& sig,
                         int64_t dt, int64_t dq, QueryKind kind) {
-  double fd = kind == QueryKind::kSuperset ? FalseDropSuperset(sig, dt, dq)
-                                           : FalseDropSubset(sig, dt, dq);
-  double a = kind == QueryKind::kSuperset ? ActualDropsSuperset(db, dt, dq)
-                                          : ActualDropsSubset(db, dt, dq);
-  double n = static_cast<double>(db.n);
-  return static_cast<double>(SsfSignaturePages(db, sig)) +
-         OidLookupCost(db, fd, a) + db.p_s * a + db.p_u * fd * (n - a);
+  const FilterTerms f = kind == QueryKind::kSuperset
+                            ? SupersetFilter(sig, db.v, dt, dq)
+                            : SubsetFilter(sig, db.v, dt, dq);
+  return PriceSsf(MakePageTerms(db),
+                  static_cast<double>(SsfSignaturePages(db, sig)), f);
 }
 
 int64_t SsfStorageCost(const DatabaseParams& db, const SignatureParams& sig) {

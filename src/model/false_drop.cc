@@ -9,19 +9,18 @@ namespace {
 double F(const SignatureParams& sig) { return static_cast<double>(sig.f); }
 double M(const SignatureParams& sig) { return static_cast<double>(sig.m); }
 
-// Probability that a fixed bit position is 1 in a signature of d elements.
-double BitSetProbExact(const SignatureParams& sig, int64_t d) {
-  return 1.0 - std::pow(1.0 - M(sig) / F(sig), static_cast<double>(d));
-}
-
 double BitSetProbApprox(const SignatureParams& sig, int64_t d) {
   return 1.0 - std::exp(-M(sig) * static_cast<double>(d) / F(sig));
 }
 
 }  // namespace
 
+double BitSetProbability(const SignatureParams& sig, int64_t d) {
+  return 1.0 - std::pow(1.0 - M(sig) / F(sig), static_cast<double>(d));
+}
+
 double ExpectedSignatureWeight(const SignatureParams& sig, int64_t d) {
-  return F(sig) * BitSetProbExact(sig, d);
+  return F(sig) * BitSetProbability(sig, d);
 }
 
 double ExpectedSignatureWeightApprox(const SignatureParams& sig, int64_t d) {
@@ -29,7 +28,7 @@ double ExpectedSignatureWeightApprox(const SignatureParams& sig, int64_t d) {
 }
 
 double FalseDropSuperset(const SignatureParams& sig, int64_t dt, int64_t dq) {
-  return std::pow(BitSetProbExact(sig, dt),
+  return std::pow(BitSetProbability(sig, dt),
                   M(sig) * static_cast<double>(dq));
 }
 
@@ -40,7 +39,7 @@ double FalseDropSupersetApprox(const SignatureParams& sig, int64_t dt,
 }
 
 double FalseDropSubset(const SignatureParams& sig, int64_t dt, int64_t dq) {
-  return std::pow(BitSetProbExact(sig, dq),
+  return std::pow(BitSetProbability(sig, dq),
                   M(sig) * static_cast<double>(dt));
 }
 

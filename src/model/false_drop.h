@@ -12,6 +12,10 @@
 
 namespace sigsetdb {
 
+// Probability that a fixed bit position is 1 in the signature of a set of
+// d elements: 1 − (1 − m/F)^d.
+double BitSetProbability(const SignatureParams& sig, int64_t d);
+
 // Expected number of one bits in a set signature of cardinality d:
 //   m_t = F·(1 − (1 − m/F)^d)           (exact)
 //       ≈ F·(1 − e^(−m·d/F))            (paper's approximation)

@@ -19,71 +19,105 @@ DriftWatchdog::DriftWatchdog(MetricsRegistry* metrics,
                              FlightRecorder* recorder, DriftOptions options)
     : metrics_(metrics), recorder_(recorder), options_(options) {}
 
-void DriftWatchdog::Observe(const std::string& stage, double measured,
-                            double predicted) {
-  bool raised = false;
-  double mean_abs = 0, mean_rel = 0;
-  uint64_t samples = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    StageStats& s = stages_[stage];
-    ++s.samples;
-    s.sum_measured += measured;
-    s.sum_predicted += predicted;
-    s.sum_abs_residual += std::fabs(measured - predicted);
-    samples = s.samples;
-    mean_abs = s.mean_abs_residual();
-    mean_rel = s.mean_rel_residual();
-    if (s.samples >= options_.min_samples) {
-      const bool outside = mean_abs > options_.abs_tolerance_pages &&
-                           mean_rel > options_.rel_tolerance;
-      raised = outside && !s.warning;  // rising edge only
-      s.warning = outside;
-    }
+DriftWatchdog::Slots::value_type* DriftWatchdog::SlotFor(
+    const std::string& key) {
+  auto [it, added] = slots_.try_emplace(key);
+  if (added) {
+    Slot& slot = it->second;
+    slot.mean_abs = metrics_->gauge("drift." + key + ".mean_abs_residual");
+    slot.mean_rel = metrics_->gauge("drift." + key + ".mean_rel_residual");
+    slot.samples = metrics_->gauge("drift." + key + ".samples");
   }
-  // Exports happen outside the accumulator lock (registry lookups take the
-  // registry's own mutex).
-  metrics_->gauge("drift." + stage + ".mean_abs_residual")->Set(mean_abs);
-  metrics_->gauge("drift." + stage + ".mean_rel_residual")->Set(mean_rel);
-  metrics_->gauge("drift." + stage + ".samples")
-      ->Set(static_cast<double>(samples));
+  return &*it;
+}
+
+void DriftWatchdog::Accumulate(Slots::value_type* slot, double measured,
+                               double predicted) {
+  StageStats& s = slot->second.stats;
+  ++s.samples;
+  s.sum_measured += measured;
+  s.sum_predicted += predicted;
+  s.sum_abs_residual += std::fabs(measured - predicted);
+  const double mean_abs = s.mean_abs_residual();
+  const double mean_rel = s.mean_rel_residual();
+  bool raised = false;
+  if (s.samples >= options_.min_samples) {
+    const bool outside = mean_abs > options_.abs_tolerance_pages &&
+                         mean_rel > options_.rel_tolerance;
+    raised = outside && !s.warning;  // rising edge only
+    s.warning = outside;
+  }
+  // The gauges are resolved pointers: setting them takes no registry lock.
+  slot->second.mean_abs->Set(mean_abs);
+  slot->second.mean_rel->Set(mean_rel);
+  slot->second.samples->Set(static_cast<double>(s.samples));
   if (raised) {
     warnings_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->counter("drift.warnings")->Increment();
+    if (warnings_counter_ == nullptr) {
+      warnings_counter_ = metrics_->counter("drift.warnings");
+    }
+    warnings_counter_->Increment();
     if (recorder_ != nullptr) {
       FlightEvent event;
       event.op = FlightOp::kDriftWarning;
-      event.SetDetail(stage + " abs=" + std::to_string(mean_abs));
+      event.SetDetail(slot->first + " abs=" + std::to_string(mean_abs));
       recorder_->Record(event);
     }
   }
 }
 
+void DriftWatchdog::Observe(const std::string& stage, double measured,
+                            double predicted) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Accumulate(SlotFor(stage), measured, predicted);
+}
+
 void DriftWatchdog::ObserveTrace(const QueryTrace& trace) {
   // The plan string leads with the facility ("bssf smart(k=2)"); Database
   // plans prefix the attribute ("tags via bssf smart").
-  std::string plan = trace.plan;
+  std::string_view plan = trace.plan;
   const size_t via = plan.find(" via ");
-  if (via != std::string::npos) plan = plan.substr(via + 5);
-  const size_t space = plan.find(' ');
-  const std::string facility =
-      space == std::string::npos ? plan : plan.substr(0, space);
+  if (via != std::string_view::npos) plan.remove_prefix(via + 5);
+  const std::string_view facility = plan.substr(0, plan.find(' '));
   if (facility.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  FacilitySlots* slots = nullptr;
+  for (FacilitySlots& known : facilities_) {
+    if (known.facility == facility) slots = &known;
+  }
+  if (slots == nullptr) {
+    slots = &facilities_.emplace_back();
+    slots->facility = facility;
+  }
   for (const TraceSpan& stage : trace.stages()) {
     if (stage.predicted_pages < 0) continue;
-    Observe(facility + "." + StageKeyPart(stage.name),
-            static_cast<double>(stage.pages()), stage.predicted_pages);
+    Slots::value_type* slot = nullptr;
+    for (const auto& [name, known] : slots->stages) {
+      if (name == stage.name) slot = known;
+    }
+    if (slot == nullptr) {
+      slot = SlotFor(slots->facility + "." + StageKeyPart(stage.name));
+      slots->stages.emplace_back(stage.name, slot);
+    }
+    Accumulate(slot, static_cast<double>(stage.pages()),
+               stage.predicted_pages);
   }
   if (trace.predicted_total >= 0) {
-    Observe(facility + ".total", static_cast<double>(trace.TotalPages()),
-            trace.predicted_total);
+    if (slots->total == nullptr) {
+      slots->total = SlotFor(slots->facility + ".total");
+    }
+    Accumulate(slots->total, static_cast<double>(trace.TotalPages()),
+               trace.predicted_total);
   }
 }
 
 std::vector<std::pair<std::string, DriftWatchdog::StageStats>>
 DriftWatchdog::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {stages_.begin(), stages_.end()};
+  std::vector<std::pair<std::string, StageStats>> out;
+  out.reserve(slots_.size());
+  for (const auto& [key, slot] : slots_) out.emplace_back(key, slot.stats);
+  return out;
 }
 
 }  // namespace sigsetdb

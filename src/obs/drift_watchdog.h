@@ -9,9 +9,11 @@
 // over enough samples — raises a structured warning: a drift.warnings
 // counter tick plus a kDriftWarning flight-recorder event naming the stage.
 //
-// Observation sits off the query hot path (one mutex-guarded accumulate per
-// traced stage, a few per query); the per-op recording discipline stays
-// with the lock-free histograms.
+// Each key's accumulators and its three gauges live in one slot, resolved
+// on the key's first observation; afterwards a trace finds its slots by
+// comparing the plan's facility and each stage's name in place, so a query
+// builds no metric name and takes no registry lookup, only the watchdog's
+// mutex once per trace.
 
 #ifndef SIGSET_OBS_DRIFT_WATCHDOG_H_
 #define SIGSET_OBS_DRIFT_WATCHDOG_H_
@@ -21,6 +23,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,12 +92,35 @@ class DriftWatchdog {
   const DriftOptions& options() const { return options_; }
 
  private:
+  // One "<facility>.<stage>" key: its accumulators and its drift.* gauges.
+  struct Slot {
+    StageStats stats;
+    Gauge* mean_abs = nullptr;
+    Gauge* mean_rel = nullptr;
+    Gauge* samples = nullptr;
+  };
+  using Slots = std::map<std::string, Slot>;  // nodes never move
+  // The slots a facility's traces have fed, by trace stage name ("candidate
+  // selection"), plus its total.
+  struct FacilitySlots {
+    std::string facility;
+    std::vector<std::pair<std::string, Slots::value_type*>> stages;
+    Slots::value_type* total = nullptr;
+  };
+
+  // The slot of `key`, registering its gauges on first use (mu_ held).
+  Slots::value_type* SlotFor(const std::string& key);
+  // Folds one observation into `slot` and exports it (mu_ held).
+  void Accumulate(Slots::value_type* slot, double measured, double predicted);
+
   MetricsRegistry* metrics_;
   FlightRecorder* recorder_;
   DriftOptions options_;
   std::atomic<uint64_t> warnings_{0};
   mutable std::mutex mu_;
-  std::map<std::string, StageStats> stages_;
+  Slots slots_;
+  std::vector<FacilitySlots> facilities_;
+  Counter* warnings_counter_ = nullptr;  // registered on the first warning
 };
 
 }  // namespace sigsetdb
