@@ -227,6 +227,25 @@ void BM_BssfRemoveReuseCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_BssfRemoveReuseCycle)->Iterations(4000);
 
+// One ApplyBatch of 1,000 fresh inserts into a sparse BSSF, from an empty
+// store up to 32,000 signatures: perfbench's load shape.
+void BM_BssfApplyBatch(benchmark::State& state) {
+  constexpr size_t kBatch = 1000;
+  const PaperObjects& o = Objects();
+  StorageManager storage;
+  auto bssf = MakeSparseBssf(storage);
+  std::vector<BatchOp> batch(kBatch);
+  size_t i = 0;
+  for (auto _ : state) {
+    for (BatchOp& op : batch) {
+      op = BatchOp{BatchOp::Kind::kInsert, o.oids[i], o.sets[i]};
+      ++i;
+    }
+    CheckOk(bssf->ApplyBatch(batch), "apply batch");
+  }
+}
+BENCHMARK(BM_BssfApplyBatch)->Iterations(32);
+
 // One posting insert per element (rc·Dt page accesses), into a NIX over the
 // first half of the database.
 void BM_NixInsert(benchmark::State& state) {
@@ -482,6 +501,31 @@ BENCHMARK(BM_SetIndexSelect)
     ->Args({static_cast<int64_t>(QueryKind::kSubset), 40})
     ->Args({static_cast<int64_t>(QueryKind::kEquals), 10})
     ->Args({static_cast<int64_t>(QueryKind::kOverlaps), 3});
+
+// paper_mem's set-up without the join pair: the 32,000 Table-2 objects
+// loaded into a default SetIndex in memory (BSSF and NIX) in 1,000-object
+// ApplyBatch calls, then a checkpoint.  Each iteration loads a new index.
+void BM_SetIndexLoad(benchmark::State& state) {
+  constexpr size_t kBatch = 1000;
+  const std::vector<ElementSet>& sets = Objects().sets;
+  for (auto _ : state) {
+    StorageManager storage;
+    SetIndex::Options options;
+    options.capacity = sets.size() + 768;
+    auto index =
+        ValueOrDie(SetIndex::Create(&storage, "load", options), "create");
+    WriteBatch batch;
+    for (size_t i = 0; i < sets.size(); ++i) {
+      batch.Insert(sets[i]);
+      if (batch.size() == kBatch || i + 1 == sets.size()) {
+        CheckOk(index->ApplyBatch(batch).status(), "load batch");
+        batch.Clear();
+      }
+    }
+    CheckOk(index->Checkpoint(), "checkpoint");
+  }
+}
+BENCHMARK(BM_SetIndexLoad)->Iterations(4)->Unit(benchmark::kMillisecond);
 
 // A kAuto selection right after a write, over a Table-2 SetIndex in memory
 // with telemetry on, as a live database serves reads between writes.  Each
