@@ -935,14 +935,24 @@ Status BTree::ApplyRec(PageId page_id, uint32_t depth, uint64_t key,
                        const std::vector<Oid>& adds,
                        const std::vector<Oid>& removes, bool* split,
                        uint64_t* promoted, PageId* new_child) {
-  Page* page = LevelBuffer(depth);
-  SIGSET_RETURN_IF_ERROR(file_->Read(page_id, page));
-  if (NodeType(*page) == kLeafType) {
-    return LeafApply(page_id, page, key, adds, removes, split, promoted,
+  Page* buffer = LevelBuffer(depth);
+  if (depth == height_) {
+    // The leaf is edited where its bytes sit; LeafApply checks every
+    // change before it touches the page, and writes it back.
+    SIGSET_ASSIGN_OR_RETURN(Page* leaf, file_->Edit(page_id, buffer));
+    if (NodeType(*leaf) != kLeafType) {
+      return Status::Corruption("expected a leaf at the tree's height");
+    }
+    return LeafApply(page_id, leaf, key, adds, removes, split, promoted,
                      new_child);
   }
-  // The descent below reads into the next level's buffer, so this node's
-  // bytes are still here if its child splits.
+  // An internal node is only read on the way down.  A copying file reads
+  // it into this level's buffer and the descent below uses the next
+  // level's, so the view still holds this node if its child splits.
+  SIGSET_ASSIGN_OR_RETURN(const Page* page, file_->View(page_id, buffer));
+  if (NodeType(*page) != kInternalType) {
+    return Status::Corruption("expected an internal node above the leaves");
+  }
   const size_t ci = ChildIndex(*page, key);
   bool child_split = false;
   uint64_t child_promoted = 0;
@@ -954,15 +964,16 @@ Status BTree::ApplyRec(PageId page_id, uint32_t depth, uint64_t key,
     *split = false;
     return Status::OK();
   }
-  // Only a child split changes this node: add the separator and repack.
+  // Only a child split changes this node: add the separator and repack it
+  // in the level buffer.
   ParsedInternal node = ParseInternal(*page);
   node.keys.insert(node.keys.begin() + static_cast<ptrdiff_t>(ci),
                    child_promoted);
   node.children.insert(node.children.begin() + static_cast<ptrdiff_t>(ci) + 1,
                        child_new);
   if (node.keys.size() <= InternalMaxKeys(max_fanout_)) {
-    WriteInternal(node, page);
-    SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
+    WriteInternal(node, buffer);
+    SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *buffer));
     *split = false;
     return Status::OK();
   }
@@ -978,9 +989,9 @@ Status BTree::ApplyRec(PageId page_id, uint32_t depth, uint64_t key,
                         node.children.end());
   SIGSET_ASSIGN_OR_RETURN(PageId right_id, file_->Allocate());
   Page right_page;
-  WriteInternal(left, page);
+  WriteInternal(left, buffer);
   WriteInternal(right, &right_page);
-  SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *page));
+  SIGSET_RETURN_IF_ERROR(file_->Write(page_id, *buffer));
   SIGSET_RETURN_IF_ERROR(file_->Write(right_id, right_page));
   ++internal_pages_;
   *split = true;

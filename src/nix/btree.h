@@ -18,13 +18,14 @@
 // read path, descends for its keys in order but holds up to kViewGroupSize
 // leaf views, prefetching each one's header and directory line, and
 // searches them only once the group is viewed, so an in-memory file's leaf
-// misses overlap instead of following one another.  Apply merges a key's
-// removes and adds once and splices the changed inline record into its
-// leaf: the heap below it moves, the later directory offsets shift, and
-// every vacated byte is zeroed, so the page stays exactly what a full repack
-// would write.  Only three cases still parse the leaf and repack it: an
-// overflow-chain record, a list that spills past 509 OIDs, and a leaf that
-// must split.  An internal node is parsed only when a child split adds a
+// misses overlap instead of following one another.  Apply views the
+// internal nodes on its way down, edits the leaf where its bytes sit
+// (PageFile::Edit), merges the key's removes and adds once and splices the
+// changed inline record into the leaf: the heap below it moves, the later
+// directory offsets shift, and every vacated byte is zeroed, so the page
+// stays exactly what a full repack would write.  Only three cases still
+// parse the leaf and repack it: an overflow-chain record, a list that
+// spills past 509 OIDs, and a leaf that must split.  An internal node is parsed only when a child split adds a
 // separator key to it.  Deletion removes an OID from a posting (and the
 // entry when the posting empties) without rebalancing — matching the
 // paper's update model, which "does not consider node splits".
@@ -199,8 +200,10 @@ class BTree {
                    std::vector<LeafRecord>* records, PageId next_leaf,
                    bool* split, uint64_t* promoted, PageId* new_child);
 
-  // Recursive descent for Apply(): the node at `depth` is read into that
-  // level's buffer and stays there while its subtree is changed.  Sets
+  // Recursive descent for Apply(): an internal node at `depth` is viewed,
+  // with that level's buffer as the scratch page, and the view is held
+  // while its subtree changes; the leaf, at depth height(), is edited.  A
+  // node whose type does not match its depth is kCorruption.  Sets
   // `*promoted`/`*new_child` when `page_id` split.
   Status ApplyRec(PageId page_id, uint32_t depth, uint64_t key,
                   const std::vector<Oid>& adds,
@@ -211,7 +214,8 @@ class BTree {
                    const std::vector<Oid>& removes, bool* split,
                    uint64_t* promoted, PageId* new_child);
   // Apply's page buffer for tree level `depth` (0 = the root), made on
-  // first use and reused by every later descent.
+  // first use and reused by every later descent: the scratch page of that
+  // level's view or edit, and where a split repacks the node.
   Page* LevelBuffer(uint32_t depth);
 
   // LookupMany's body: sets each empty `out[i]` to `keys[i]`'s postings.

@@ -123,40 +123,53 @@ StatusOr<Oid> MultiObjectStore::Insert(
   SIGSET_ASSIGN_OR_RETURN(std::vector<uint8_t> record,
                           Encode(attr_values, num_attributes_));
   const uint16_t len = static_cast<uint16_t>(record.size());
-  Page page;
+  Page scratch;
   if (const Room* room = FindRoom(len, nullptr)) {
     const PageId page_no = room->page;
     const uint16_t expected_slot = room->num_slots;
-    SIGSET_RETURN_IF_ERROR(file_->Read(page_no, &page));
-    SlottedPage sp(&page);
-    auto slot = InsertCompacting(&sp, record);
-    if (!slot.has_value() || *slot != expected_slot) {
+    SIGSET_ASSIGN_OR_RETURN(Page* page, file_->Edit(page_no, &scratch));
+    SlottedPage sp(page);
+    // The record fits exactly when the compacted page has room for it.
+    if (sp.num_slots() != expected_slot || sp.CompactedFreeSpace() < len) {
       return Status::Internal("room list out of date for object page " +
                               std::to_string(page_no));
     }
-    SIGSET_RETURN_IF_ERROR(file_->Write(page_no, page));
+    const uint16_t slot = *InsertCompacting(&sp, record);
+    SIGSET_RETURN_IF_ERROR(file_->Write(page_no, *page));
     NoteRoom(page_no, sp, /*freed=*/false);
     ++num_objects_;
-    return Oid::FromLocation(page_no, *slot);
+    return Oid::FromLocation(page_no, slot);
   }
   if (tail_page_ != kInvalidPage) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(tail_page_, &page));
-    SlottedPage sp(&page);
-    if (auto slot = InsertCompacting(&sp, record)) {
-      SIGSET_RETURN_IF_ERROR(file_->Write(tail_page_, page));
+    // An insert reads the tail page whether or not the record fits.  When
+    // the store knows the tail's room and it fits, the page is edited in
+    // place; otherwise (too full, or not read since open) it is read into
+    // the scratch page, which is written back if the record fits after all.
+    Page* page = &scratch;
+    if (tail_free_.has_value() && *tail_free_ >= len) {
+      SIGSET_ASSIGN_OR_RETURN(page, file_->Edit(tail_page_, &scratch));
+    } else {
+      SIGSET_RETURN_IF_ERROR(file_->Read(tail_page_, &scratch));
+    }
+    SlottedPage sp(page);
+    auto slot = InsertCompacting(&sp, record);
+    tail_free_ = sp.CompactedFreeSpace();
+    if (slot.has_value()) {
+      SIGSET_RETURN_IF_ERROR(file_->Write(tail_page_, *page));
       ++num_objects_;
       return Oid::FromLocation(tail_page_, *slot);
     }
   }
   SIGSET_ASSIGN_OR_RETURN(PageId new_page, file_->Allocate());
-  SlottedPage::Init(&page);
-  SlottedPage sp(&page);
+  SlottedPage::Init(&scratch);
+  SlottedPage sp(&scratch);
   auto slot = sp.Insert(record.data(), len);
   if (!slot.has_value()) {
     return Status::Internal("record does not fit in an empty page");
   }
-  SIGSET_RETURN_IF_ERROR(file_->Write(new_page, page));
+  SIGSET_RETURN_IF_ERROR(file_->Write(new_page, scratch));
   tail_page_ = new_page;
+  tail_free_ = sp.CompactedFreeSpace();
   ++num_objects_;
   return Oid::FromLocation(new_page, *slot);
 }
@@ -251,6 +264,7 @@ Status MultiObjectStore::LoadReplaySlot(Oid oid, Page* page, bool* changed) {
 Status MultiObjectStore::WriteReplayed(Oid oid, const Page& page) {
   SIGSET_RETURN_IF_ERROR(file_->Write(oid.page(), page));
   tail_page_ = file_->num_pages() - 1;
+  tail_free_.reset();
   auto found = room_of_.find(oid.page());
   if (found != room_of_.end()) {
     rooms_.erase(found->second);
@@ -356,17 +370,21 @@ Status MultiObjectStore::Decode(Oid oid, const uint8_t* rec, uint16_t len,
 
 Status MultiObjectStore::Delete(Oid oid) {
   if (!oid.valid()) return Status::InvalidArgument("invalid oid");
-  Page page;
-  SIGSET_RETURN_IF_ERROR(file_->Read(oid.page(), &page));
-  SlottedPage sp(&page);
+  Page scratch;
+  SIGSET_ASSIGN_OR_RETURN(Page* page, file_->Edit(oid.page(), &scratch));
+  SlottedPage sp(page);
   uint16_t len = 0;
   if (sp.Get(oid.slot(), &len) == nullptr) {
     return Status::NotFound("no object at " + oid.ToString());
   }
   sp.Delete(oid.slot());
-  SIGSET_RETURN_IF_ERROR(file_->Write(oid.page(), page));
+  SIGSET_RETURN_IF_ERROR(file_->Write(oid.page(), *page));
   if (num_objects_ > 0) --num_objects_;
-  if (oid.page() != tail_page_) NoteRoom(oid.page(), sp, /*freed=*/true);
+  if (oid.page() != tail_page_) {
+    NoteRoom(oid.page(), sp, /*freed=*/true);
+  } else {
+    tail_free_ = sp.CompactedFreeSpace();
+  }
   return Status::OK();
 }
 

@@ -17,13 +17,16 @@
 // always takes a fresh slot number, so no OID is ever handed out twice and
 // a stale facility entry resolves to kNotFound.  The room list lives in
 // memory: after a reopen, pages freed since the reopen are refilled.  An
-// insert costs one page read and one page write either way.
+// insert costs one page read and one page write either way.  Inserts and
+// deletes edit their page where it sits (PageFile::Edit) and check the
+// change before they make it.
 
 #ifndef SIGSET_OBJ_MULTI_OBJECT_STORE_H_
 #define SIGSET_OBJ_MULTI_OBJECT_STORE_H_
 
 #include <functional>
 #include <list>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -172,6 +175,10 @@ class MultiObjectStore {
   PageFile* file_;
   uint16_t num_attributes_;
   PageId tail_page_ = kInvalidPage;
+  // The tail page's CompactedFreeSpace(), once this store has read or
+  // written the tail since it opened: Insert edits the tail only when it
+  // knows the record fits, since an edit must be written back.
+  std::optional<size_t> tail_free_;
   uint64_t num_objects_ = 0;
   // Room pages, least recently freed first, and where each one sits.
   std::list<Room> rooms_;

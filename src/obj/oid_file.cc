@@ -128,32 +128,33 @@ StatusOr<std::vector<uint64_t>> OidFile::MarkDeletedMany(
   const uint64_t lo = victims.front().first;
   const uint64_t span = victims.back().first - lo;
   std::vector<uint64_t> slots(oids.size());
+  // The scan views each page; a page is copied into `dirty` only when it
+  // holds a victim, and written once every victim is found.
   std::vector<std::pair<PageId, Page>> dirty;
   size_t found = 0;
-  Page page;
+  Page scratch;
   const PageId used_pages = UsedPages();
   for (PageId p = 0; p < used_pages && found < oids.size(); ++p) {
-    SIGSET_RETURN_IF_ERROR(file_->Read(p, &page));
+    SIGSET_ASSIGN_OR_RETURN(const Page* page, file_->View(p, &scratch));
     const uint64_t entries_on_page = std::min<uint64_t>(
         kOidsPerPage, num_entries_ - uint64_t{p} * kOidsPerPage);
     bool in_range = false;
     for (uint64_t i = 0; i < entries_on_page; ++i) {
-      in_range |= page.ReadAt<uint64_t>(i * kOidBytes) - lo <= span;
+      in_range |= page->ReadAt<uint64_t>(i * kOidBytes) - lo <= span;
     }
     if (!in_range) continue;
-    bool page_dirty = false;
+    Page* image = nullptr;
     for (uint64_t i = 0; i < entries_on_page; ++i) {
-      const uint64_t raw = page.ReadAt<uint64_t>(i * kOidBytes);
+      const uint64_t raw = page->ReadAt<uint64_t>(i * kOidBytes);
       if (raw - lo > span) continue;
       auto it = std::lower_bound(victims.begin(), victims.end(),
                                  std::make_pair(raw, size_t{0}));
       if (it == victims.end() || it->first != raw) continue;
-      page.WriteAt<uint64_t>(i * kOidBytes, raw | kDeleteFlag);
+      if (image == nullptr) image = &dirty.emplace_back(p, *page).second;
+      image->WriteAt<uint64_t>(i * kOidBytes, raw | kDeleteFlag);
       slots[it->second] = uint64_t{p} * kOidsPerPage + i;
-      page_dirty = true;
       ++found;
     }
-    if (page_dirty) dirty.emplace_back(p, page);
   }
   if (found < oids.size()) {
     // A flagged entry no longer equals the oid value, so double deletes
@@ -184,36 +185,38 @@ std::vector<uint64_t> OidFile::ClaimFreeSlots(size_t n) {
 
 Status OidFile::SetMany(
     const std::vector<std::pair<uint64_t, Oid>>& entries) {
-  Page page;
-  PageId loaded = kInvalidPage;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    auto [slot, oid] = entries[i];
-    if (slot >= num_entries_) {
-      return Status::OutOfRange("oid slot out of range");
-    }
-    if (i > 0 && slot <= entries[i - 1].first) {
-      return Status::InvalidArgument("SetMany entries must be slot-sorted");
-    }
-    PageId page_no = static_cast<PageId>(slot / kOidsPerPage);
-    if (page_no != loaded) {
-      if (loaded != kInvalidPage) {
-        SIGSET_RETURN_IF_ERROR(file_->Write(loaded, page));
-        if (loaded == tail_page_) tail_ = page;
+  Page scratch;
+  for (size_t begin = 0; begin < entries.size();) {
+    // The entries on one page, each checked before the page is touched.
+    const PageId page_no =
+        static_cast<PageId>(entries[begin].first / kOidsPerPage);
+    size_t end = begin;
+    for (; end < entries.size() &&
+           entries[end].first / kOidsPerPage == page_no;
+         ++end) {
+      if (entries[end].first >= num_entries_) {
+        return Status::OutOfRange("oid slot out of range");
       }
-      SIGSET_FAILPOINT("oid_file.append");
-      SIGSET_RETURN_IF_ERROR(file_->Read(page_no, &page));
-      loaded = page_no;
+      if (end > 0 && entries[end].first <= entries[end - 1].first) {
+        return Status::InvalidArgument("SetMany entries must be slot-sorted");
+      }
     }
-    uint64_t offset = (slot % kOidsPerPage) * kOidBytes;
-    if ((page.ReadAt<uint64_t>(offset) & kDeleteFlag) == 0) {
-      return Status::Internal("SetMany target slot is not tombstoned");
+    SIGSET_FAILPOINT("oid_file.append");
+    SIGSET_ASSIGN_OR_RETURN(Page* page, file_->Edit(page_no, &scratch));
+    for (size_t i = begin; i < end; ++i) {
+      const uint64_t offset = (entries[i].first % kOidsPerPage) * kOidBytes;
+      if ((page->ReadAt<uint64_t>(offset) & kDeleteFlag) == 0) {
+        return Status::Internal("SetMany target slot is not tombstoned");
+      }
     }
-    page.WriteAt<uint64_t>(offset, oid.value());
-    ++num_live_;
-  }
-  if (loaded != kInvalidPage) {
-    SIGSET_RETURN_IF_ERROR(file_->Write(loaded, page));
-    if (loaded == tail_page_) tail_ = page;
+    for (size_t i = begin; i < end; ++i) {
+      page->WriteAt<uint64_t>((entries[i].first % kOidsPerPage) * kOidBytes,
+                              entries[i].second.value());
+    }
+    SIGSET_RETURN_IF_ERROR(file_->Write(page_no, *page));
+    if (page_no == tail_page_) tail_ = *page;
+    num_live_ += end - begin;
+    begin = end;
   }
   return Status::OK();
 }

@@ -75,7 +75,10 @@ class OidFile {
   // start, stopping at the page holding the last victim, and one write per
   // dirty page.  For one oid that is (slot/O_d + 1) page reads + 1 write;
   // averaged over uniform victims, the model's UC_D = SC_OID/2.  Fails
-  // without writing anything if any oid is absent (or listed twice).
+  // without writing anything if any oid is absent (or listed twice).  A
+  // page is known to be dirty only once it is read, and nothing is
+  // written before every victim is found, so the scan views each page
+  // and copies only the dirty ones into write buffers.
   // Returns the tombstoned slots aligned with the input order.  They do
   // not join the free list until the caller passes them to ReleaseSlots.
   StatusOr<std::vector<uint64_t>> MarkDeletedMany(const std::vector<Oid>& oids);
@@ -92,8 +95,9 @@ class OidFile {
   std::vector<uint64_t> ClaimFreeSlots(size_t n);
 
   // Overwrites each tombstoned entry `slot` with its `oid` (clearing the
-  // delete flag), reading and writing each distinct page once: one page
-  // read-modify-write for one entry.  This is the commit point of slot
+  // delete flag), editing and writing each distinct page once: one page
+  // read-modify-write for one entry.  A page's entries are all checked
+  // before it changes.  This is the commit point of slot
   // reuse: callers claim the slot, deposit the new signature, then SetMany
   // publishes it.  `entries` must be sorted by slot.
   Status SetMany(const std::vector<std::pair<uint64_t, Oid>>& entries);

@@ -186,12 +186,59 @@ Status BitSlicedSignatureFile::CheckCapacity(size_t removes,
   return Status::OK();
 }
 
+std::vector<uint64_t> BitSlicedSignatureFile::PageOrderedChanges(
+    const std::vector<BatchColumn>& columns, size_t removes) const {
+  // One integer per bit change: page << 32 | bit-in-page << 1 | value.
+  static_assert(kPageBits * 2 <= (uint64_t{1} << 32));
+  const bool full_column = insert_mode_ == BssfInsertMode::kTouchAllSlices;
+  auto for_each_change = [&](auto&& emit) {
+    for (size_t i = 0; i < columns.size(); ++i) {
+      const uint64_t page_in_slice = columns[i].slot / kPageBits;
+      const uint64_t bit = columns[i].slot % kPageBits;
+      auto change = [&](size_t slice, bool set_bit) {
+        emit((slice * pages_per_slice_ + page_in_slice) << 32 | bit << 1 |
+             static_cast<uint64_t>(set_bit));
+      };
+      if (i >= removes && full_column) {
+        for (uint32_t j = 0; j < config_.f; ++j) {
+          change(j, columns[i].sig.Test(j));
+        }
+      } else {
+        columns[i].sig.ForEachSetBit(
+            [&](size_t j) { change(j, i >= removes); });
+      }
+    }
+  };
+  size_t total = 0;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    total += i >= removes && full_column ? config_.f : columns[i].sig.Count();
+  }
+  std::vector<uint64_t> changes;
+  const size_t num_pages = static_cast<size_t>(config_.f) * pages_per_slice_;
+  if (total < num_pages) {
+    // Fewer changes than pages (a batch of a few ops): a sort is cheaper
+    // than a pass over every page.  For one bit it puts a remove's clear
+    // before a reuse's set, which is the order the ops make.
+    changes.reserve(total);
+    for_each_change([&](uint64_t change) { changes.push_back(change); });
+    std::sort(changes.begin(), changes.end());
+    return changes;
+  }
+  // A counting sort: one pass counts each page's changes, and a second
+  // writes each change at the next place of its page, which keeps the ops'
+  // order within a page.
+  std::vector<size_t> next(num_pages + 1, 0);
+  for_each_change([&](uint64_t change) { ++next[(change >> 32) + 1]; });
+  for (size_t p = 0; p < num_pages; ++p) next[p + 1] += next[p];
+  changes.resize(total);
+  for_each_change(
+      [&](uint64_t change) { changes[next[change >> 32]++] = change; });
+  return changes;
+}
+
 Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
   // Phase 1 — tombstone the removes with one OID-file scan (the commit
-  // point making their slots invisible) and collect the batch's bit
-  // changes: clears for removed columns, then the inserts' set bits (full
-  // columns in kTouchAllSlices mode).  Every insert lands on an all-zero
-  // column or on one this batch clears, so sparse writes are lossless.
+  // point making their slots invisible).
   std::vector<Oid> remove_oids;
   std::vector<const ElementSet*> remove_sets;
   std::vector<const BatchOp*> inserts;
@@ -205,26 +252,18 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
   }
   SIGSET_RETURN_IF_ERROR(CheckCapacity(remove_oids.size(), inserts.size()));
   const uint64_t fresh = FreshSlots(remove_oids.size(), inserts.size());
-  // One integer per bit change: page << 32 | bit-in-page << 1 | value.
-  // Sorting them orders the changes by page and, for one bit, puts a
-  // remove's clear before a reuse's set, which is the order the ops make.
-  static_assert(kPageBits * 2 <= (uint64_t{1} << 32));
-  std::vector<uint64_t> changes;
-  auto add_change = [&](uint32_t slice, uint64_t slot, bool set_bit) {
-    const uint64_t page =
-        static_cast<uint64_t>(slice) * pages_per_slice_ + slot / kPageBits;
-    changes.push_back(page << 32 | (slot % kPageBits) << 1 |
-                      static_cast<uint64_t>(set_bit));
-  };
   std::vector<uint64_t> removed;
   if (!remove_oids.empty()) {
     SIGSET_ASSIGN_OR_RETURN(removed, oid_file_.MarkDeletedMany(remove_oids));
-    for (size_t i = 0; i < removed.size(); ++i) {
-      BitVector sig = MakeSetSignature(*remove_sets[i], config_);
-      sig.ForEachSetBit([&](size_t j) {
-        add_change(static_cast<uint32_t>(j), removed[i], false);
-      });
-    }
+  }
+  // The batch's columns: the removed ones, whose set bits are cleared,
+  // then the inserts', whose set bits are set (their whole columns in
+  // kTouchAllSlices mode).  Every insert lands on an all-zero column or on
+  // one this batch clears, so sparse writes are lossless.
+  std::vector<BatchColumn> columns;
+  columns.reserve(removed.size() + inserts.size());
+  for (size_t i = 0; i < removed.size(); ++i) {
+    columns.push_back({removed[i], MakeSetSignature(*remove_sets[i], config_)});
   }
   // Phase 2 — assign slots, most recently freed first: this batch's
   // removed slots (last removed first), then the free list, then fresh
@@ -237,9 +276,7 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
   const size_t reuse = from_removed + claimed.size();
   std::vector<std::pair<uint64_t, Oid>> reused_entries;
   reused_entries.reserve(reuse);
-  const bool full_column = insert_mode_ == BssfInsertMode::kTouchAllSlices;
   for (size_t i = 0; i < inserts.size(); ++i) {
-    BitVector sig = MakeSetSignature(inserts[i]->set_value, config_);
     uint64_t slot;
     if (i < from_removed) {
       slot = removed[removed.size() - 1 - i];
@@ -249,36 +286,30 @@ Status BitSlicedSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
       slot = num_signatures_ + (i - reuse);
     }
     if (i < reuse) reused_entries.emplace_back(slot, inserts[i]->oid);
-    if (full_column) {
-      for (uint32_t j = 0; j < config_.f; ++j) {
-        add_change(j, slot, sig.Test(j));
-      }
-    } else {
-      sig.ForEachSetBit([&](size_t j) {
-        add_change(static_cast<uint32_t>(j), slot, true);
-      });
-    }
+    columns.push_back({slot, MakeSetSignature(inserts[i]->set_value, config_)});
   }
-  // Phase 3 — one read-modify-write per dirty slice page, in page order.
-  std::sort(changes.begin(), changes.end());
-  Page page;
+  // Phase 3 — one read-modify-write per dirty slice page, in page order,
+  // editing the page where it sits.
+  const std::vector<uint64_t> changes =
+      PageOrderedChanges(columns, removed.size());
+  Page scratch;
   for (size_t begin = 0; begin < changes.size();) {
     const PageId page_no = static_cast<PageId>(changes[begin] >> 32);
     SIGSET_FAILPOINT("bssf.touch_slice");
-    SIGSET_RETURN_IF_ERROR(slice_file_->Read(page_no, &page));
+    SIGSET_ASSIGN_OR_RETURN(Page* page, slice_file_->Edit(page_no, &scratch));
     size_t end = begin;
     for (; end < changes.size() && (changes[end] >> 32) == page_no; ++end) {
       const uint32_t bit = static_cast<uint32_t>(changes[end]) >> 1;
       const uint8_t mask = static_cast<uint8_t>(1u << (bit & 7));
       if (changes[end] & 1) {
-        page.data()[bit >> 3] |= mask;
+        page->data()[bit >> 3] |= mask;
       } else {
-        page.data()[bit >> 3] &= static_cast<uint8_t>(~mask);
+        page->data()[bit >> 3] &= static_cast<uint8_t>(~mask);
       }
     }
-    SIGSET_RETURN_IF_ERROR(slice_file_->Write(page_no, page));
-    skip_index_.Update(page_no, page);
-    hot_tier_.Update(page_no, page);
+    SIGSET_RETURN_IF_ERROR(slice_file_->Write(page_no, *page));
+    skip_index_.Update(page_no, *page);
+    hot_tier_.Update(page_no, *page);
     begin = end;
   }
   // The removed columns are clear now; the slots this batch did not reuse

@@ -83,8 +83,8 @@ class BitSlicedSignatureFile : public SetAccessFacility {
 
   const std::string& name() const override { return name_; }
 
-  // The write path.  Each dirty slice page is read-modified-written once
-  // for the whole batch, combining:
+  // The write path.  Each dirty slice page is edited (PageFile::Edit) and
+  // written once for the whole batch, in page order, combining:
   //   - removes: the OID entries are tombstoned first (the commit point),
   //     then the signatures' set bits are cleared, returning each column to
   //     all-zero.  A removed slot joins the free list only after those
@@ -211,6 +211,20 @@ class BitSlicedSignatureFile : public SetAccessFacility {
   // Slots off the high-water mark that `inserts` inserts take once this
   // batch's `removes` freed slots and the free list are reused.
   uint64_t FreshSlots(size_t removes, size_t inserts) const;
+
+  // One column an ApplyBatch changes: its slot and the signature whose
+  // set bits it clears (a remove) or sets (an insert).
+  struct BatchColumn {
+    uint64_t slot;
+    BitVector sig;
+  };
+
+  // The bit changes of `columns`, whose first `removes` are removes, as
+  // page << 32 | bit-in-page << 1 | value, grouped by page in ascending
+  // page order and, within a page, in the ops' order (so a remove's clear
+  // comes before a reuse's set).
+  std::vector<uint64_t> PageOrderedChanges(
+      const std::vector<BatchColumn>& columns, size_t removes) const;
 
   // Reads slice `slice` and combines it into `acc` (num bits =
   // num_signatures): AND when `and_combine`, OR otherwise.  Page reads are

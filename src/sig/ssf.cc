@@ -171,31 +171,30 @@ Status SequentialSignatureFile::ApplyBatch(const std::vector<BatchOp>& ops) {
     }
     std::sort(refill.begin(), refill.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    Page page;
+    Page scratch;
+    Page* page = nullptr;
     PageId loaded = kInvalidPage;
     for (const auto& [slot, op] : refill) {
       PageId p = static_cast<PageId>(slot / sigs_per_page_);
       if (p != loaded) {
         if (loaded != kInvalidPage) {
-          SIGSET_RETURN_IF_ERROR(signature_file_->Write(loaded, page));
-          if (loaded == tail_page_) tail_ = page;
+          SIGSET_RETURN_IF_ERROR(signature_file_->Write(loaded, *page));
         }
-        // The tail page's image is already in memory.
+        // The tail page's image is already in memory; it is changed there.
         if (p == tail_page_) {
-          page = tail_;
+          page = &tail_;
         } else {
-          SIGSET_RETURN_IF_ERROR(signature_file_->Read(p, &page));
+          SIGSET_ASSIGN_OR_RETURN(page, signature_file_->Edit(p, &scratch));
         }
         loaded = p;
       }
       BitVector refill_sig = MakeSetSignature(op->set_value, config_);
-      DepositBits(refill_sig, page.data(),
+      DepositBits(refill_sig, page->data(),
                   static_cast<size_t>(slot % sigs_per_page_) * config_.f);
       union_index_.AddSignature(slot / sigs_per_page_, refill_sig);
     }
     if (loaded != kInvalidPage) {
-      SIGSET_RETURN_IF_ERROR(signature_file_->Write(loaded, page));
-      if (loaded == tail_page_) tail_ = page;
+      SIGSET_RETURN_IF_ERROR(signature_file_->Write(loaded, *page));
     }
     std::vector<std::pair<uint64_t, Oid>> entries;
     entries.reserve(reuse);

@@ -27,12 +27,21 @@ Status InMemoryPageFile::Read(PageId id, Page* out, IoStats* io) {
 
 StatusOr<const Page*> InMemoryPageFile::View(PageId id, Page* /*scratch*/,
                                              IoStats* io) {
-  if (id >= pages_.size()) {
-    return Status::OutOfRange("read past end of " + name_ + " page " +
-                              std::to_string(id));
-  }
+  if (id >= pages_.size()) return ReadPastEnd(id);
   io->AddRead();
   return pages_[id].get();
+}
+
+StatusOr<Page*> InMemoryPageFile::Edit(PageId id, Page* /*scratch*/,
+                                       IoStats* io) {
+  if (id >= pages_.size()) return ReadPastEnd(id);
+  io->AddRead();
+  return pages_[id].get();
+}
+
+Status InMemoryPageFile::ReadPastEnd(PageId id) const {
+  return Status::OutOfRange("read past end of " + name_ + " page " +
+                            std::to_string(id));
 }
 
 Status InMemoryPageFile::Write(PageId id, const Page& page, IoStats* io) {
@@ -40,7 +49,7 @@ Status InMemoryPageFile::Write(PageId id, const Page& page, IoStats* io) {
     return Status::OutOfRange("write past end of " + name_ + " page " +
                               std::to_string(id));
   }
-  *pages_[id] = page;
+  if (&page != pages_[id].get()) *pages_[id] = page;
   io->AddWrite();
   return Status::OK();
 }

@@ -60,13 +60,32 @@ class PageFile {
   // stored in a member or returned, and its scratch is never passed to a
   // callee.  A function may hold several views of one file at once (the
   // grouped readers hold up to kViewGroupSize), but never across a write
-  // to that file; at most one held view is in the scratch page, and it is
-  // the last one taken, so a view that returned `scratch` is used before
-  // the next View call.  For an EpochReadView, the reader's pin keeps the
-  // viewed version nodes alive.  CachedPageFile keeps this default:
-  // another thread can evict a frame, so a pointer into the pool would
-  // need a pin.
+  // to the viewed page; at most one held view is in a given scratch page,
+  // and it is the last one taken into it, so a view that returned
+  // `scratch` is used before the next View call with that scratch.  For
+  // an EpochReadView, the reader's pin keeps the viewed version nodes
+  // alive.  CachedPageFile keeps this default: another thread can evict a
+  // frame, so a pointer into the pool would need a pin.
   virtual StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) {
+    SIGSET_RETURN_IF_ERROR(Read(id, scratch, io));
+    return scratch;
+  }
+
+  // The writable form of View, for a read-modify-write: charges one page
+  // read to `*io`, with the failpoints and range errors of Read, and
+  // returns the page's bytes for the caller to change and hand back with
+  // Write(id, *page), which charges the one write.  Where the bytes sit in
+  // memory (InMemoryPageFile's stored page, VersionedPageFile's node at
+  // the write epoch) the caller edits them in place and that Write copies
+  // nothing; otherwise it reads into `*scratch` and returns `scratch`,
+  // which is this default.  Lifetime rule: an edit is used only inside the
+  // function that took it and is written back there with Write(id,
+  // *page); a caller that may not write a page takes a View instead, and
+  // one that may fail checks before it changes a byte.  A lent edit or
+  // view stays valid across writes to other pages of its file (stored
+  // pages and version nodes do not move), and a copying file's scratch
+  // belongs to the caller.
+  virtual StatusOr<Page*> Edit(PageId id, Page* scratch, IoStats* io) {
     SIGSET_RETURN_IF_ERROR(Read(id, scratch, io));
     return scratch;
   }
@@ -78,6 +97,9 @@ class PageFile {
   }
   StatusOr<const Page*> View(PageId id, Page* scratch) {
     return View(id, scratch, &stats());
+  }
+  StatusOr<Page*> Edit(PageId id, Page* scratch) {
+    return Edit(id, scratch, &stats());
   }
 
   // Flushes buffered writes to stable storage.  The in-memory backend is
@@ -104,6 +126,7 @@ class InMemoryPageFile : public PageFile {
  public:
   explicit InMemoryPageFile(std::string name) : name_(std::move(name)) {}
 
+  using PageFile::Edit;
   using PageFile::Read;
   using PageFile::View;
   using PageFile::Write;
@@ -115,14 +138,19 @@ class InMemoryPageFile : public PageFile {
 
   StatusOr<PageId> Allocate() override;
   Status Read(PageId id, Page* out, IoStats* io) override;
-  // Returns the stored page itself; `scratch` is unused.
+  // View and Edit return the stored page itself; `scratch` is unused.
   StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) override;
+  StatusOr<Page*> Edit(PageId id, Page* scratch, IoStats* io) override;
+  // Copies nothing when `page` is the stored page an Edit lent.
   Status Write(PageId id, const Page& page, IoStats* io) override;
 
   IoStats& stats() override { return stats_; }
   const IoStats& stats() const override { return stats_; }
 
  private:
+  // The range error of Read, View and Edit.
+  Status ReadPastEnd(PageId id) const;
+
   std::string name_;
   std::vector<std::unique_ptr<Page>> pages_;
   IoStats stats_;

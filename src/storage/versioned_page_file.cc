@@ -87,24 +87,31 @@ VersionedPageFile::VersionNode* VersionedPageFile::NewNode() {
   return node;
 }
 
-void VersionedPageFile::PushVersion(PageMeta* meta, const Page& page) {
-  const uint64_t we = WriteEpoch();
-  VersionNode* head = meta->head.load(std::memory_order_relaxed);
-  if (head != nullptr && head->epoch == we) {
-    // Second write to this page within the same (unpublished) mutation: no
-    // reader can be pinned at `we` yet, and pinned readers skip this node
-    // by epoch without copying it, so updating in place is race-free and
-    // keeps batches from growing the chain by one node per touch.
-    std::memcpy(head->page.data(), page.data(), kPageSize);
-    return;
-  }
-  VersionNode* node = NewNode();
-  node->epoch = we;
-  std::memcpy(node->page.data(), page.data(), kPageSize);
+void VersionedPageFile::LinkHead(PageMeta* meta, VersionNode* head,
+                                 VersionNode* node) {
+  node->epoch = WriteEpoch();
   node->next.store(head, std::memory_order_relaxed);
   meta->head.store(node, std::memory_order_release);
   resident_.fetch_add(1, std::memory_order_relaxed);
   base_->stats().AddCow(1);
+}
+
+void VersionedPageFile::PushVersion(PageMeta* meta, const Page& page) {
+  VersionNode* head = meta->head.load(std::memory_order_relaxed);
+  if (head != nullptr && head->epoch == WriteEpoch()) {
+    // Second write to this page within the same (unpublished) mutation: no
+    // reader can be pinned at W yet, and pinned readers skip this node by
+    // epoch without copying it, so updating in place is race-free and
+    // keeps batches from growing the chain by one node per touch.  An
+    // edited page is already here.
+    if (&page != &head->page) {
+      std::memcpy(head->page.data(), page.data(), kPageSize);
+    }
+    return;
+  }
+  VersionNode* node = NewNode();
+  std::memcpy(node->page.data(), page.data(), kPageSize);
+  LinkHead(meta, head, node);
 }
 
 StatusOr<PageId> VersionedPageFile::Allocate() {
@@ -134,6 +141,30 @@ Status VersionedPageFile::Read(PageId id, Page* out, IoStats* io) {
 StatusOr<const Page*> VersionedPageFile::View(PageId id, Page* /*scratch*/,
                                               IoStats* io) {
   return ViewAtEpoch(id, kLatestEpoch, io);
+}
+
+StatusOr<Page*> VersionedPageFile::Edit(PageId id, Page* /*scratch*/,
+                                        IoStats* io) {
+  SIGSET_FAILPOINT("versioned.read");
+  if (id >= num_pages()) {
+    return Status::InvalidArgument("page " + std::to_string(id) +
+                                   " out of range in " + name());
+  }
+  PageMeta* meta = Meta(id, /*create=*/false);
+  VersionNode* head =
+      meta != nullptr ? meta->head.load(std::memory_order_relaxed) : nullptr;
+  if (head == nullptr) {
+    return Status::Internal("page " + std::to_string(id) + " of " + name() +
+                            " has no version");
+  }
+  if (io != nullptr) io->AddRead(1);
+  if (head->epoch == WriteEpoch()) return &head->page;
+  // The first edit of this page in the mutation: the W-node starts as a
+  // copy of the head, the one copy Write would have made.
+  VersionNode* node = NewNode();
+  std::memcpy(node->page.data(), head->page.data(), kPageSize);
+  LinkHead(meta, head, node);
+  return &node->page;
 }
 
 Status VersionedPageFile::ReadAtEpoch(PageId id, uint64_t at, Page* out,

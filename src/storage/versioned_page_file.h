@@ -18,7 +18,11 @@
 //     nodes at write epoch W = published + 1; a second write to the same
 //     page within one mutation updates the W-node in place (readers cannot
 //     be pinned at W until it is published, and in-flight readers skip past
-//     W-nodes without copying them).
+//     W-nodes without copying them).  Edit lends the W-node itself: the
+//     first edit of a page in a mutation pushes one node copied from the
+//     head, later edits change that node directly, and the Write that
+//     hands it back copies nothing, so a page costs one copy per write
+//     epoch.
 //   - Publish: the EpochManager advances the published epoch only after the
 //     mutation completed, so readers never observe a partial mutation.
 //   - Reclaim(oldest_pinned): for each page, keep the newest node K with
@@ -71,6 +75,7 @@ class VersionedPageFile : public PageFile {
 
   ~VersionedPageFile() override;
 
+  using PageFile::Edit;
   using PageFile::Read;
   using PageFile::View;
   using PageFile::Write;
@@ -85,6 +90,13 @@ class VersionedPageFile : public PageFile {
   // View returns the head node's page in place.
   Status Read(PageId id, Page* out, IoStats* io) override;
   StatusOr<const Page*> View(PageId id, Page* scratch, IoStats* io) override;
+  // The page of the node at the write epoch, pushed (one pages_cow) when
+  // the head is older; `scratch` is unused.  Writer only, with Read's
+  // failpoint and range error.  The node is visible to the writer's own
+  // reads at once and to pinned readers never, until W is published; a
+  // mutation that fails between Edit and Write leaves it, changed or not,
+  // as it leaves its written pages, and recovery rolls it back.
+  StatusOr<Page*> Edit(PageId id, Page* scratch, IoStats* io) override;
   Status Write(PageId id, const Page& page, IoStats* io) override;
   Status Sync() override;
 
@@ -154,8 +166,13 @@ class VersionedPageFile : public PageFile {
   const PageMeta* Meta(PageId id) const;
 
   // Installs `page` as the version at the current write epoch (new head
-  // node, or in-place update when the head already carries this epoch).
+  // node, or in-place update when the head already carries this epoch;
+  // no copy when `page` is that node's, lent by Edit).
   void PushVersion(PageMeta* meta, const Page& page);
+
+  // Makes `node` the head at the current write epoch, in front of `head`
+  // (one pages_cow).
+  void LinkHead(PageMeta* meta, VersionNode* head, VersionNode* node);
 
   // A node for the writer: a spare one Reclaim freed, else a new one.
   VersionNode* NewNode();

@@ -85,6 +85,45 @@ TEST_F(BTreeTest, ManyKeysSplitLeavesAndGrowHeight) {
   }
 }
 
+// Apply checks each node's type against its depth: a leaf where an
+// internal node belongs, or the reverse, is corruption, and nothing is
+// written.
+TEST_F(BTreeTest, ApplyRefusesANodeOfTheWrongTypeForItsDepth) {
+  MakeTree(/*fanout=*/8);
+  for (uint64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(tree_->Insert(i % 600, MakeOid(i)).ok()) << "i=" << i;
+  }
+  ASSERT_GE(tree_->height(), 1u);
+  Page root;
+  ASSERT_TRUE(file_.Read(tree_->root(), &root).ok());
+  PageId leaf = tree_->root();
+  Page page = root;
+  for (uint32_t depth = 0; depth < tree_->height(); ++depth) {
+    leaf = page.ReadAt<uint32_t>(8);  // the first child
+    ASSERT_TRUE(file_.Read(leaf, &page).ok());
+  }
+  const Page leaf_page = page;
+
+  // The root claims to be a leaf (type byte 1).
+  Page bad = root;
+  bad.WriteAt<uint8_t>(0, 1);
+  ASSERT_TRUE(file_.Write(tree_->root(), bad).ok());
+  const uint64_t writes = file_.stats().writes();
+  EXPECT_EQ(tree_->Insert(0, MakeOid(9000)).code(), StatusCode::kCorruption);
+  EXPECT_EQ(file_.stats().writes(), writes);
+  ASSERT_TRUE(file_.Write(tree_->root(), root).ok());
+
+  // The leftmost leaf claims to be an internal node (type byte 2).
+  bad = leaf_page;
+  bad.WriteAt<uint8_t>(0, 2);
+  ASSERT_TRUE(file_.Write(leaf, bad).ok());
+  EXPECT_EQ(tree_->Insert(0, MakeOid(9001)).code(), StatusCode::kCorruption);
+  ASSERT_TRUE(file_.Write(leaf, leaf_page).ok());
+
+  ASSERT_TRUE(tree_->Insert(0, MakeOid(9002)).ok());
+  EXPECT_TRUE(tree_->ValidateStructure().ok());
+}
+
 TEST_F(BTreeTest, ForEachEntryVisitsKeysInOrder) {
   MakeTree(/*fanout=*/4);
   Rng rng(2);

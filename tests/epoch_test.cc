@@ -317,6 +317,76 @@ TEST_F(VersionedPageFileTest, PinnedViewSurvivesRewritesAndReclaim) {
   epochs.Shutdown();
 }
 
+// Edit lends the node at the write epoch, and later edits in the epoch
+// change it in place.  A reader thread re-pins and re-views the page while
+// the writer edits, publishes and reclaims: pinned readers walk past the
+// write-epoch node and never read its bytes (TSan would see the race; a
+// torn page would mix two fill bytes), and the reclaimer frees neither it
+// nor the head.
+TEST_F(VersionedPageFileTest, PinnedReadersNeverSeeTheEditedWriteEpochNode) {
+  ASSERT_TRUE(base_.Allocate().ok());
+  ASSERT_TRUE(base_.Write(0, FilledPage('A')).ok());
+  EpochManager epochs;
+  auto wrapped = VersionedPageFile::Wrap(&base_, epochs.published_cell());
+  ASSERT_TRUE(wrapped.ok());
+  VersionedPageFile* file = wrapped->get();
+  epochs.RegisterReclaimer(
+      [file](uint64_t oldest) { return file->Reclaim(oldest); });
+  epochs.Publish(MakeState(1));
+  const uint64_t cows = base_.stats().cows();
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> views{0};
+  std::thread reader([&] {
+    Page scratch;
+    while (!done.load(std::memory_order_acquire)) {
+      EpochPin pin = epochs.Pin();
+      EpochReadView view(file, pin.epoch());
+      auto page = view.View(0, &scratch);
+      if (!page.ok()) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      // Every published version is one fill byte throughout.
+      const uint8_t* bytes = (*page)->data();
+      if (std::memcmp(bytes, bytes + 1, kPageSize - 1) != 0) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+      }
+      views.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (views.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  constexpr int kEpochs = 300;
+  Page scratch;
+  for (int i = 0; i < kEpochs; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      auto edit = file->Edit(0, &scratch);
+      if (!edit.ok()) {
+        ADD_FAILURE() << edit.status().ToString();
+        break;
+      }
+      std::memset((*edit)->data(), 'C' + (i + k) % 20, kPageSize);
+      EXPECT_TRUE(file->Write(0, **edit).ok());
+    }
+    epochs.Publish(MakeState(2 + i));
+    if (i % 10 == 0) epochs.ReclaimNow();
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0u);
+  // One node per write epoch, however many edits it took.
+  EXPECT_EQ(base_.stats().cows(), cows + kEpochs);
+  EXPECT_EQ(file->resident_versions() + file->reclaimed_versions(),
+            1u + kEpochs);
+  EXPECT_GT(epochs.total_reclaimed(), 0u);
+  Page read;
+  ASSERT_TRUE(file->Read(0, &read).ok());
+  EXPECT_EQ(read.data()[0], 'C' + (kEpochs - 1 + 2) % 20);
+  epochs.Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // SetIndex snapshots end to end
 // ---------------------------------------------------------------------------

@@ -292,6 +292,176 @@ INSTANTIATE_TEST_SUITE_P(FaultablePageFiles, PageViewFaultTest,
                          ::testing::Values("cached", "fault_injecting",
                                            "versioned", "epoch_read_view"));
 
+// --- Edit: the writable view ------------------------------------------------
+
+// The files a write path edits (a snapshot's EpochReadView is read-only).
+using PageEditTest = PageViewTest;
+
+// One read per Edit and one write per Write, the page's bytes, and where
+// they sit: lent in place, or read into the caller's scratch page.
+TEST_P(PageEditTest, EditChargesOneReadAndItsWriteOneWrite) {
+  PageFile* file = case_.file;
+  for (PageId id = 0; id < kPages; ++id) {
+    Page read;
+    ASSERT_TRUE(file->Read(id, &read).ok());
+    const IoStats before = file->stats();
+    Page scratch = Filled(0xee);
+    auto edit = file->Edit(id, &scratch);
+    ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+    EXPECT_EQ((file->stats() - before).reads(), 1u);
+    EXPECT_EQ((file->stats() - before).total(), 1u);
+    EXPECT_EQ(std::memcmp((*edit)->data(), read.data(), kPageSize), 0);
+    if (case_.in_place) {
+      EXPECT_NE(*edit, &scratch);
+      EXPECT_EQ(scratch.data()[0], 0xee);
+    } else {
+      EXPECT_EQ(*edit, &scratch);
+    }
+    (*edit)->data()[7] = static_cast<uint8_t>('A' + id);
+    ASSERT_TRUE(file->Write(id, **edit).ok());
+    EXPECT_EQ((file->stats() - before).writes(), 1u);
+    EXPECT_EQ((file->stats() - before).reads(), 1u);
+    ASSERT_TRUE(file->Read(id, &read).ok());
+    EXPECT_EQ(read.data()[7], 'A' + id);
+    EXPECT_EQ(read.data()[6], 'a' + id);
+
+    // A caller-supplied IoStats takes the charge instead.
+    IoStats io;
+    ASSERT_TRUE(file->Edit(id, &scratch, &io).ok());
+    EXPECT_EQ(io.reads(), 1u);
+    EXPECT_EQ(io.total(), 1u);
+  }
+}
+
+// Edit then Write copies a page on write just as Read then Write does: a
+// VersionedPageFile pushes one node for the first write to a page in a
+// write epoch and none for the next, and the other files never copy.
+TEST_P(PageEditTest, EditAndWriteCopyOnWriteLikeReadAndWrite) {
+  PageFile* file = case_.file;
+  for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
+    published_.store(epoch);
+    for (int round = 0; round < 2; ++round) {
+      Page page;
+      uint64_t cows = file->stats().cows();
+      ASSERT_TRUE(file->Read(0, &page).ok());
+      ASSERT_TRUE(file->Write(0, page).ok());
+      const uint64_t read_write = file->stats().cows() - cows;
+
+      cows = file->stats().cows();
+      auto edit = file->Edit(1, &page);
+      ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+      ASSERT_TRUE(file->Write(1, **edit).ok());
+      EXPECT_EQ(file->stats().cows() - cows, read_write)
+          << "epoch " << epoch << " round " << round;
+      if (versioned_ != nullptr) {
+        EXPECT_EQ(read_write, round == 0 ? 1u : 0u);
+      }
+    }
+  }
+}
+
+TEST_P(PageEditTest, OutOfRangeEditFailsLikeRead) {
+  PageFile* file = case_.file;
+  Page page;
+  const IoStats before = file->stats();
+  const Status read = file->Read(kPages + 2, &page);
+  const IoStats after_read = file->stats();
+  ASSERT_FALSE(read.ok());
+  auto edit = file->Edit(kPages + 2, &page);
+  ASSERT_FALSE(edit.ok());
+  EXPECT_EQ(edit.status(), read) << edit.status().ToString();
+  EXPECT_EQ((file->stats() - after_read).total(),
+            (after_read - before).total());
+}
+
+// A lent edit stays valid across writes to the file's other pages.
+TEST_P(PageEditTest, EditSurvivesWritesToOtherPages) {
+  PageFile* file = case_.file;
+  published_.store(1);
+  Page scratch;
+  auto edit = file->Edit(0, &scratch);
+  ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+  ASSERT_TRUE(file->Write(1, Filled('x')).ok());
+  ASSERT_TRUE(file->Allocate().ok());
+  ASSERT_TRUE(file->Write(kPages, Filled('y')).ok());
+  (*edit)->data()[0] = 'z';
+  ASSERT_TRUE(file->Write(0, **edit).ok());
+  Page read;
+  ASSERT_TRUE(file->Read(0, &read).ok());
+  EXPECT_EQ(read.data()[0], 'z');
+  EXPECT_EQ(read.data()[1], 'a');
+  ASSERT_TRUE(file->Read(1, &read).ok());
+  EXPECT_EQ(read.data()[0], 'x');
+}
+
+using PageEditFaultTest = PageViewTest;
+
+TEST_P(PageEditFaultTest, ArmedReadFaultFiresOnEdit) {
+  ASSERT_TRUE(case_.arm);
+  PageFile* file = case_.file;
+  Page scratch;
+  case_.arm();
+  auto edit = file->Edit(1, &scratch);
+  ASSERT_FALSE(edit.ok());
+  EXPECT_EQ(edit.status().code(), StatusCode::kIoError)
+      << edit.status().ToString();
+  auto again = file->Edit(1, &scratch);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->data()[0], 'b');
+}
+
+INSTANTIATE_TEST_SUITE_P(WritablePageFiles, PageEditTest,
+                         ::testing::Values("in_memory", "on_disk", "cached",
+                                           "fault_injecting", "versioned"));
+INSTANTIATE_TEST_SUITE_P(FaultableWritablePageFiles, PageEditFaultTest,
+                         ::testing::Values("cached", "fault_injecting",
+                                           "versioned"));
+
+// The first edit of a page in a write epoch pushes its node at once, so a
+// mutation that fails between Edit and Write leaves that node, with
+// whatever the caller changed, where a Read would have left nothing.  It
+// is unpublished: a reader pinned at the published epoch still sees the
+// old bytes, the node is not dirty (a checkpoint does not flush it), and
+// recovery rolls the mutation back.
+TEST(VersionedPageFileEditTest, EditWithoutWriteLeavesAnUnpublishedNode) {
+  InMemoryPageFile base("base");
+  ASSERT_TRUE(base.Allocate().ok());
+  ASSERT_TRUE(base.Write(0, Filled('a')).ok());
+  std::atomic<uint64_t> published{1};
+  auto wrapped = VersionedPageFile::Wrap(&base, &published);
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  VersionedPageFile* file = wrapped->get();
+  EpochReadView pinned(file, 1);
+  const uint64_t cows = base.stats().cows();
+  const uint64_t resident = file->resident_versions();
+
+  Page scratch;
+  auto edit = file->Edit(0, &scratch);
+  ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+  (*edit)->data()[0] = 'x';
+  EXPECT_EQ(base.stats().cows(), cows + 1);
+  EXPECT_EQ(file->resident_versions(), resident + 1);
+  EXPECT_EQ(base.stats().writes(), 1u);  // the setup's write only
+
+  Page read;
+  ASSERT_TRUE(file->Read(0, &read).ok());
+  EXPECT_EQ(read.data()[0], 'x');  // the writer's own view
+  ASSERT_TRUE(pinned.Read(0, &read).ok());
+  EXPECT_EQ(read.data()[0], 'a');
+  ASSERT_TRUE(file->FlushToBase().ok());
+  ASSERT_TRUE(base.Read(0, &read).ok());
+  EXPECT_EQ(read.data()[0], 'a');
+
+  // A second edit in the epoch lends the same node, and its Write copies
+  // nothing more.
+  auto again = file->Edit(0, &scratch);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *edit);
+  ASSERT_TRUE(file->Write(0, **again).ok());
+  EXPECT_EQ(base.stats().cows(), cows + 1);
+  EXPECT_EQ(file->resident_versions(), resident + 1);
+}
+
 // A view pinned at an epoch sees a page allocated after it as zeroes, like
 // ReadAtEpoch, and charges one read to the view's counter.
 TEST(EpochReadViewTest, PageAllocatedAfterThePinViewsAsZeroes) {
