@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "obs/json.h"
@@ -79,13 +80,31 @@ void FlightRecorder::Record(FlightEvent event) {
   uint64_t words[kWords] = {};
   std::memcpy(words, &event, sizeof(event));
   Slot& slot = slots_[ticket & mask_];
-  // Seqlock writer: stamp start first so a concurrent reader that has
-  // already copied the old payload sees a mismatched frame and drops it.
-  slot.start.store(ticket + 1, std::memory_order_release);
+  const uint64_t complete = (ticket + 1) << 1;
+  uint64_t state = slot.state.load(std::memory_order_relaxed);
+  while (true) {
+    if (state > complete) return;  // a later ticket holds or claims it
+    if (state & 1) {
+      // An earlier ticket is still storing its words.
+      std::this_thread::yield();
+      state = slot.state.load(std::memory_order_relaxed);
+      continue;
+    }
+    // Acquire: an earlier writer's words come before ours.
+    if (slot.state.compare_exchange_weak(state, complete | 1,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Seqlock writer: the claim is ordered before the payload stores, so a
+  // reader that copies any of these words sees the state move off the
+  // frame it started from and drops it.
+  std::atomic_thread_fence(std::memory_order_release);
   for (size_t i = 0; i < kWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.end.store(ticket + 1, std::memory_order_release);
+  slot.state.store(complete, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::Events() const {
@@ -96,16 +115,17 @@ std::vector<FlightEvent> FlightRecorder::Events() const {
   out.reserve(static_cast<size_t>(n - first));
   for (uint64_t t = first; t < n; ++t) {
     const Slot& slot = slots_[t & mask_];
-    // Accept only a frame whose both stamps match this ticket: a writer
-    // mid-overwrite has start ahead of end, and a completed overwrite has
-    // both stamps at a later ticket.
-    if (slot.end.load(std::memory_order_acquire) != t + 1) continue;
+    // Accept only a frame complete at this ticket before and after the
+    // copy: any writer that claims the slot in between moves its state to
+    // a later ticket, never back.
+    const uint64_t complete = (t + 1) << 1;
+    if (slot.state.load(std::memory_order_acquire) != complete) continue;
     uint64_t words[kWords];
     for (size_t i = 0; i < kWords; ++i) {
       words[i] = slot.words[i].load(std::memory_order_relaxed);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.start.load(std::memory_order_relaxed) != t + 1) continue;
+    if (slot.state.load(std::memory_order_relaxed) != complete) continue;
     FlightEvent event;
     std::memcpy(&event, words, sizeof(event));
     out.push_back(event);

@@ -8,14 +8,20 @@
 // recorder renders them as a human-readable and a JSON postmortem, so every
 // simulated crash in the recovery matrix leaves an inspectable artifact.
 //
-// Concurrency: recording is wait-free for producers (one fetch_add for the
-// ticket, then relaxed word stores into the slot between two stamp stores).
-// Slots follow the seqlock discipline with the event payload stored as
-// atomic words, so concurrent Record/Events interleavings are race-free
-// under the C++ memory model (TSan-clean, asserted by the stress test): a
-// reader accepts a slot only when both stamps equal the ticket it expects,
-// which a writer mid-overwrite cannot satisfy.  Dumping never blocks
-// recording and vice versa.
+// Concurrency: a producer takes a ticket with one fetch_add, claims the
+// ticket's slot with one CAS on the slot's state word, stores the payload
+// as relaxed atomic words and marks the slot complete.  Only the claimant
+// writes a slot's payload, so two producers a whole ring apart (ticket t
+// and t + capacity) can never interleave their words.  A producer that
+// finds its slot already holding or claimed by a later ticket drops its
+// event, which the ring has overwritten anyway; one that finds an earlier
+// ticket still writing waits for it (yielding), which happens only when
+// the ring wraps within one Record.  Readers follow the seqlock
+// discipline: a reader accepts a slot only when its state reads "complete
+// at the expected ticket" both before and after it copies the words, so
+// concurrent Record/Events interleavings are race-free under the C++
+// memory model (TSan-clean, asserted by the stress test).  Dumping never
+// blocks recording and vice versa.
 
 #ifndef SIGSET_OBS_FLIGHT_RECORDER_H_
 #define SIGSET_OBS_FLIGHT_RECORDER_H_
@@ -83,8 +89,9 @@ class FlightRecorder {
   // `capacity` is rounded up to a power of two (minimum 8).
   explicit FlightRecorder(size_t capacity = 512);
 
-  // Records one event (seq and micros are stamped here).  Wait-free;
-  // callable from any thread, including concurrently with Events().
+  // Records one event (seq and micros are stamped here).  Callable from
+  // any thread, including concurrently with Events(); it waits only for an
+  // earlier writer of the same slot (see "Concurrency" above).
   void Record(FlightEvent event);
 
   // The most recent events, oldest first.  Slots a concurrent writer is
@@ -120,12 +127,13 @@ class FlightRecorder {
   static void InstallSignalHandler(FlightRecorder* recorder);
 
  private:
-  // Event payload as relaxed-atomic words (seqlock data), framed by the
-  // start/end ticket stamps.
+  // Event payload as relaxed-atomic words (seqlock data) and the slot's
+  // state: 0 when never written, else (ticket + 1) << 1 for the ticket
+  // whose payload it holds or is getting, with the low bit set while that
+  // writer is storing the words.
   static constexpr size_t kWords = (sizeof(FlightEvent) + 7) / 8;
   struct Slot {
-    std::atomic<uint64_t> start{0};  // ticket + 1 while/after writing
-    std::atomic<uint64_t> end{0};    // ticket + 1 once the payload is whole
+    std::atomic<uint64_t> state{0};
     std::atomic<uint64_t> words[kWords] = {};
   };
 
