@@ -84,12 +84,15 @@ case "${1:-all}" in
     # is queried from 4-thread pools mid-churn; TSan vets the batch-vs-query
     # interleavings and the retirement of superseded CoW wrappers against
     # the reclaimer thread, ASan the slot reuse, the object pages' heap
-    # compaction and the compaction rewrites.
+    # compaction and the compaction rewrites.  The write paths edit pages
+    # in place (PageFile::Edit): page_file checks the edit contract over
+    # every writable file, write_path_pin and database_test pin the bytes
+    # an edited write stream leaves, with the WAL and snapshots on.
     shift
     run_one thread -R \
       'write_batch|delete_query|synchronized_set_index|epoch' "$@"
     run_one address -R \
-      'write_batch|delete_query|oid_file|ssf|bssf|btree|nested_index|slotted_page|multi_object_store|object_store|epoch' \
+      'write_batch|delete_query|oid_file|ssf|bssf|btree|nested_index|slotted_page|multi_object_store|object_store|epoch|page_file|database_test|write_path_pin' \
       "$@"
     ;;
   kernels)
@@ -190,10 +193,11 @@ case "${1:-all}" in
       -R 'join_test|join_differential_fuzz' "$@"
     ;;
   telemetry)
-    # The flight recorder is a seqlock ring: writers claim slots with a
-    # fetch_add and publish via per-slot sequence counters while readers
-    # retry torn snapshots — TSan vets exactly that protocol (the
-    # flight_recorder stress runs 4 writers against 2 dumping readers).
+    # The flight recorder is a seqlock ring: writers take tickets with a
+    # fetch_add, claim their slot with a CAS on its state word and publish
+    # the payload by marking it complete, while readers drop frames whose
+    # state moved — TSan vets exactly that protocol (the flight_recorder
+    # stress runs 4 writers against 2 dumping readers).
     # The telemetry integration suite then drives every wrapped entry
     # point, and ASan sweeps the exporters' string assembly.
     shift
